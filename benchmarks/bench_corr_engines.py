@@ -14,7 +14,8 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro import mpi
-from repro.corr.measures import corr_matrix, corr_series
+from repro.corr.batch import corr_series
+from repro.corr.measures import corr_matrix
 from repro.corr.parallel import ParallelCorrelationEngine
 
 M = 100

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.backtest.data import BarProvider
-from repro.corr.measures import corr_series
+from repro.corr.batch import corr_series
 from repro.metrics.drawdown import max_drawdown
 from repro.metrics.returns import cumulative_return
 from repro.metrics.winloss import win_loss_ratio

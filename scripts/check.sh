@@ -56,9 +56,6 @@ fi
 echo "== docs: internal links + CLI examples parse =="
 python scripts/checkdocs.py
 
-echo "== batch correlation bitwise smoke check =="
-python -m benchmarks.bench_corr --smoke
-
 echo "== serve smoke check (boot server, 200-request burst, clean exit) =="
 python - <<'EOF'
 """The serving layer must boot, absorb a 200-request mixed burst with

@@ -50,7 +50,7 @@ repo.serve-bounded   error     code under ``repro/serve/`` accumulates
 repo.public-         error     a module under ``repro/corr/`` or
 docstring                      ``repro/backtest/``, or a public class /
                                function / method there, has no docstring —
-                               these packages carry the scalar/batch
+                               these packages carry the batch/oracle
                                equivalence contract, which lives in prose
 repo.topology-epoch  error     code under ``repro/elastic/`` other than
                                ``world.py`` imports or calls a
@@ -668,7 +668,7 @@ def _check_topology_epoch(tree: ast.Module, path: str) -> Iterator[_Finding]:
 
 
 #: Packages whose public API must be documented: the correlation and
-#: backtest layers carry the scalar/batch bitwise-equivalence contract,
+#: backtest layers carry the batch/oracle bitwise-equivalence contract,
 #: and that contract is stated in docstrings (see docs/performance.md).
 _DOCSTRING_SCOPES = ("repro/corr/", "repro/backtest/")
 
@@ -698,7 +698,7 @@ def _check_public_docstring(tree: ast.Module, path: str) -> Iterator[_Finding]:
             "repo.public-docstring", Severity.ERROR, 1,
             "module has no docstring",
             hint="state what the module computes and, for corr/backtest "
-            "code, how it relates to the scalar/batch equivalence "
+            "code, how it relates to the batch/oracle equivalence "
             "contract",
         )
     for name, node in _public_defs(tree.body):

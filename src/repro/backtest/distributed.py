@@ -29,7 +29,6 @@ import time
 from repro.backtest.data import BarProvider
 from repro.backtest.results import ResultStore
 from repro.backtest.runner import CellFailure, _capture_cell_failure
-from repro.corr.batch import check_backend
 from repro.corr.maronna import MaronnaConfig
 from repro.corr.parallel import ParallelCorrelationEngine
 from repro.elastic.sharding import shard_pairs
@@ -48,16 +47,10 @@ class DistributedBacktester:
         provider: BarProvider,
         maronna_config: MaronnaConfig | None = None,
         execution: ExecutionModel | None = None,
-        corr_backend: str = "scalar",
     ):
         self.provider = provider
         self.maronna_config = maronna_config
         self.execution = execution
-        #: Per-rank correlation backend for stage 2 — ``"batch"`` runs each
-        #: rank's pair block through the all-pairs kernels
-        #: (:mod:`repro.corr.batch`); merged results are bitwise-identical
-        #: to the scalar oracle on both MPI backends.
-        self.corr_backend = check_backend(corr_backend)
         #: Merged cross-rank manifest of the last ``on_error="continue"``
         #: run — identical on every rank after the final broadcast.
         self.last_failures: list[CellFailure] = []
@@ -154,8 +147,7 @@ class DistributedBacktester:
                         series_by_spec = {}
                         for m, ctype in specs:
                             engine = ParallelCorrelationEngine(
-                                ctype, self.maronna_config,
-                                backend=self.corr_backend,
+                                ctype, self.maronna_config
                             )
                             series_by_spec[(m, ctype)] = engine.pair_series(
                                 comm, returns, m, pairs

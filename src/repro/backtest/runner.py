@@ -6,8 +6,8 @@ day t and parameter vector k in approximately 2 seconds" — one independent
 job per (pair, day, parameter set), each recomputing its own correlation
 series from scratch.  :class:`SequentialBacktester` reproduces exactly that
 cost structure; ``share_correlation=True`` adds the obvious memoisation
-(one correlation series per (pair, M, Ctype, day)) as a measured ablation
-between Approach 2 and the integrated Approach 3.
+(every pair's series computed once per (day, M, Ctype)) as a measured
+ablation between Approach 2 and the integrated Approach 3.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 
 from repro.backtest.data import BarProvider
 from repro.backtest.results import ResultStore
-from repro.corr.batch import BatchWorkspace, batch_pair_series, check_backend
+from repro.corr.batch import BatchWorkspace, batch_pair_series, corr_series
 from repro.corr.maronna import MaronnaConfig
-from repro.corr.measures import corr_series
+from repro.corr.measures import check_pairs
 from repro.obs import NULL_METRIC, Obs
 from repro.strategy.costs import ExecutionModel, execution_salt
 from repro.strategy.engine import Trade, align_corr_series, run_pair_day
@@ -119,12 +119,13 @@ def backtest_pair_day(
 class SequentialBacktester:
     """Loop over (day, pair, parameter set) jobs on a single process.
 
-    ``corr_backend="batch"`` (requires ``share_correlation=True``)
-    replaces the per-pair correlation fills with one all-pairs batch
-    evaluation per (day, window, treatment) spec — the
-    :mod:`repro.corr.batch` kernels — leaving every trade bitwise
-    identical to the scalar path; with it, the per-job clock covers only
-    the strategy scan and the correlation cost lands in ``corr.batch.*``.
+    By default every job recomputes its own correlation series (the
+    paper's Approach-2 cost profile).  ``share_correlation=True`` instead
+    fills a per-day cache with one
+    :func:`~repro.corr.batch.batch_pair_series` call per (window,
+    treatment) spec, leaving every trade bitwise identical; the per-job
+    clock then covers only the strategy scan and the correlation cost
+    lands in ``corr.batch.*``.
     """
 
     def __init__(
@@ -136,22 +137,13 @@ class SequentialBacktester:
         obs: Obs | None = None,
         profile: bool = False,
         profile_interval: float = 0.005,
-        corr_backend: str = "scalar",
     ):
         self.provider = provider
         self.share_correlation = share_correlation
         self.maronna_config = maronna_config
         self.execution = execution
         self.obs = obs
-        self.corr_backend = check_backend(corr_backend)
-        if corr_backend == "batch" and not share_correlation:
-            raise ValueError(
-                "corr_backend='batch' computes each correlation series once "
-                "per (day, spec); it requires share_correlation=True (the "
-                "unshared mode exists to reproduce the paper's recompute-"
-                "per-cell cost profile, which batching would silently change)"
-            )
-        self._workspace = BatchWorkspace() if corr_backend == "batch" else None
+        self._workspace = BatchWorkspace()
         #: With ``profile=True`` (and an enabled obs), each run is stack-
         #: sampled and the profile folded into ``obs.profile``.
         self.profile = profile
@@ -206,28 +198,24 @@ class SequentialBacktester:
             obs.metrics.counter("backtest.jobs").inc(len(self.last_job_seconds))
         return store
 
-    def _prefill_corr_cache(
-        self, corr_cache, pairs, grid, returns, smax, record
-    ):
-        """Batch backend: one all-pairs evaluation per (window, treatment).
-
-        Fills the same ``(i, j, m, ctype)``-keyed cache the scalar path
-        fills lazily, with bitwise-identical series (the batch kernels'
-        equivalence contract), so the strategy loop below is unchanged.
-        """
-        obs = self.obs if record else None
+    def _shared_corr(self, pairs, grid, day, smax) -> dict[tuple, np.ndarray]:
+        """The day's ``{(i, j, m, ctype): aligned series}`` cache: one
+        batch evaluation per (window, treatment) spec."""
+        returns = self.provider.returns(day)
         specs = sorted(
             {(p.m, p.ctype) for p in grid}, key=lambda s: (s[0], s[1].value)
         )
+        cache: dict[tuple, np.ndarray] = {}
         for m, ctype in specs:
             block = batch_pair_series(
                 returns, m, ctype, self.maronna_config, pairs=pairs,
-                obs=obs, workspace=self._workspace,
+                obs=self.obs, workspace=self._workspace,
             )
             for p, (i, j) in enumerate(pairs):
-                corr_cache[(i, j, m, ctype)] = align_corr_series(
+                cache[(i, j, m, ctype)] = align_corr_series(
                     block[:, p], smax, m
                 )
+        return cache
 
     def _run_cells(self, store, pairs, grid, days, span, on_error, record):
         obs = self.obs
@@ -235,31 +223,17 @@ class SequentialBacktester:
             for day in days:
                 prices = self.provider.prices(day)
                 smax = prices.shape[0]
-                returns = self.provider.returns(day)
-                corr_cache: dict[tuple, np.ndarray] = {}
-                if self.corr_backend == "batch":
-                    self._prefill_corr_cache(
-                        corr_cache, pairs, grid, returns, smax, record
-                    )
+                corr_cache = (
+                    self._shared_corr(pairs, grid, day, smax)
+                    if self.share_correlation
+                    else {}
+                )
                 for i, j in pairs:
                     pair_prices = prices[:, [i, j]]
                     for k, params in enumerate(grid):
                         t0 = time.perf_counter()
-                        corr = None
-                        if self.share_correlation:
-                            spec = (i, j, params.m, params.ctype)
-                            if spec not in corr_cache:
-                                series = corr_series(
-                                    returns[:, i],
-                                    returns[:, j],
-                                    params.m,
-                                    params.ctype,
-                                    self.maronna_config,
-                                )
-                                corr_cache[spec] = align_corr_series(
-                                    series, smax, params.m
-                                )
-                            corr = corr_cache[spec]
+                        # Unshared: no cached series, the job computes its own.
+                        corr = corr_cache.get((i, j, params.m, params.ctype))
                         # The timing loop owns the job clock — pass obs=None
                         # down so the job does not also record itself.
                         try:
@@ -296,9 +270,6 @@ class SequentialBacktester:
     ) -> None:
         if not pairs or not grid or not days:
             raise ValueError("pairs, grid and days must all be non-empty")
-        n = self.provider.n_symbols
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ValueError(f"invalid pair ({i}, {j}) for universe size {n}")
+        check_pairs(pairs, self.provider.n_symbols)
         if len(set(days)) != len(days):
             raise ValueError("days must be unique")

@@ -16,7 +16,6 @@ from repro.backtest.data import BarProvider
 from repro.backtest.distributed import DistributedBacktester
 from repro.backtest.results import ResultStore
 from repro.backtest.runner import SequentialBacktester
-from repro.corr.batch import check_backend as check_corr_backend
 from repro.corr.maronna import MaronnaConfig
 from repro.mpi.launcher import run_spmd
 from repro.obs import Obs, attach_to_comm
@@ -60,13 +59,8 @@ class SweepConfig:
     #: "abort" fails the sweep on the first bad cell (historical
     #: behaviour); "continue" skips it and records a failure manifest.
     on_error: str = "abort"
-    #: Correlation backend: "scalar" is the per-pair oracle, "batch" the
-    #: all-pairs kernels of :mod:`repro.corr.batch` — results are
-    #: bitwise-identical either way.
-    corr_backend: str = "scalar"
 
     def __post_init__(self) -> None:
-        check_corr_backend(self.corr_backend)
         if self.on_error not in ("abort", "continue"):
             raise ValueError(
                 f"on_error must be 'abort' or 'continue', got {self.on_error!r}"
@@ -141,7 +135,6 @@ def run_sweep(
             maronna_config=maronna_config,
             execution=config.execution,
             obs=obs if record else None,
-            corr_backend=config.corr_backend,
         )
         store = backtester.run(pairs, grid, days, on_error=config.on_error)
         if failures is not None:
@@ -156,10 +149,7 @@ def run_sweep(
             local = Obs(enabled=True)
             attach_to_comm(comm, local)
         backtester = DistributedBacktester(
-            provider,
-            maronna_config,
-            execution=config.execution,
-            corr_backend=config.corr_backend,
+            provider, maronna_config, execution=config.execution
         )
         store = backtester.run(
             comm, pairs, grid, days, obs=local, on_error=config.on_error

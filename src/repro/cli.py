@@ -106,7 +106,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ranks=args.ranks,
         engine=args.engine,
         on_error="continue" if args.continue_on_error else "abort",
-        corr_backend=args.corr_backend,
     )
     obs = _make_obs(args)
     failures: list = []
@@ -928,11 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=2)
     p.add_argument("--engine", choices=("distributed", "sequential"),
                    default="distributed")
-    p.add_argument("--corr-backend", choices=("scalar", "batch"),
-                   default="scalar",
-                   help="correlation backend: the per-pair scalar oracle "
-                   "or the all-pairs batch kernels (bitwise-identical "
-                   "results, batch is faster at scale)")
     p.add_argument("--continue-on-error", action="store_true",
                    help="skip failed (pair, day, set) cells, print a "
                    "failure manifest and exit 3 instead of aborting")

@@ -13,24 +13,21 @@ fashion, with a choice of measures:
 * **Combined** — an equal blend of the two (:mod:`repro.corr.combined`;
   the paper uses but never defines "Combined" — see DESIGN.md).
 
-Supporting machinery: sliding-window series and full-matrix computation
-(:mod:`repro.corr.measures`), all-pairs batch kernels behind the
-``backend="scalar"|"batch"`` seam (:mod:`repro.corr.batch` — bitwise
-equal to the per-pair scalar oracle), an incremental online engine
-(:mod:`repro.corr.online`), PSD repair for pairwise-assembled robust
-matrices (:mod:`repro.corr.psd`) and the block-parallel matrix engine that
-runs over the MPI substrate (:mod:`repro.corr.parallel`).
+Supporting machinery: measure selection and single-window matrices
+(:mod:`repro.corr.measures`), rolling series for one pair, a pair block or
+the whole universe from one set of batch kernels (:mod:`repro.corr.batch`
+— bitwise equal to the per-window oracle in ``tests/oracle.py``), an
+incremental online engine (:mod:`repro.corr.online`), PSD repair for
+pairwise-assembled robust matrices (:mod:`repro.corr.psd`) and the
+block-parallel matrix engine that runs over the MPI substrate
+(:mod:`repro.corr.parallel`).
 """
 
 from repro.corr.batch import (
-    BACKENDS,
     BatchWorkspace,
-    all_pairs,
     batch_pair_series,
-    check_backend,
-    pair_series_matrix,
-    reference_pair_series,
-    scalar_pair_series,
+    corr_matrix_series,
+    corr_series,
 )
 from repro.corr.clustering import (
     CandidatePair,
@@ -55,9 +52,8 @@ from repro.corr.maronna import (
 )
 from repro.corr.measures import (
     CorrelationType,
+    all_pairs,
     corr_matrix,
-    corr_matrix_series,
-    corr_series,
     pairwise_corr,
 )
 from repro.corr.online import OnlineCorrelationEngine
@@ -74,7 +70,6 @@ from repro.corr.pearson import (
 from repro.corr.psd import is_psd, nearest_psd_correlation
 
 __all__ = [
-    "BACKENDS",
     "BatchWorkspace",
     "CandidatePair",
     "CorrelationType",
@@ -85,10 +80,6 @@ __all__ = [
     "absorption_ratio",
     "all_pairs",
     "batch_pair_series",
-    "check_backend",
-    "pair_series_matrix",
-    "reference_pair_series",
-    "scalar_pair_series",
     "combined_corr",
     "combined_corr_batched",
     "correlation_clusters",

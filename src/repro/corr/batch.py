@@ -1,26 +1,29 @@
-"""All-pairs batch correlation kernels behind the scalar/batch backend seam.
+"""Rolling correlation series: the one production path.
 
 The paper evaluates every pair of its 61-stock universe — N·(N−1)/2 = 1830
-rolling correlation series per (day, window, treatment) — and the engines
-historically looped over pairs in Python, calling
-:func:`repro.corr.measures.corr_series` once per pair.  This module computes
-the same ``(n_windows, n_pairs)`` matrix in a single batch evaluation:
+rolling correlation series per (day, window, treatment).  Every engine in
+the tree gets those series from :func:`batch_pair_series`, which fills a
+``(n_windows, n_pairs)`` block in a single evaluation:
 
 * **Pearson** — per-symbol centred cumulative moments are computed once
   (O(T·n) instead of O(T·n²)), and only the pair cross-moments are formed
   per pair, chunked to bound peak memory;
-* **Maronna / Combined** — every pair's windows are stacked into large
-  contiguous batches and driven through the vectorised robust kernels, so
-  the fixed-point iteration converges *all pairs and all windows
-  simultaneously* under one convergence mask instead of per-pair loops.
+* **Maronna / Combined** — every pair's windows are stacked into
+  cache-resident contiguous batches and driven through the vectorised
+  robust kernels, so the fixed-point iteration converges *all pairs and all
+  windows simultaneously* under one convergence mask.
+
+:func:`corr_series` (one pair — Approach 2's per-job recomputation) and
+:func:`corr_matrix_series` (Approach 1's materialised matrices) are thin
+shapes over the same kernels; nothing selects between implementations.
 
 Equivalence contract
 --------------------
-``batch`` results are **bitwise-identical** to the scalar per-pair path
-(:func:`scalar_pair_series`, which delegates to ``corr_series``) and to the
-per-window reference loop (:func:`reference_pair_series`):
+A block is **bitwise-identical** to the per-window oracle kept in
+``tests/oracle.py`` (one kernel call per window) and to a per-pair
+:func:`corr_series` loop:
 
-* the Pearson batch path reproduces :func:`repro.corr.pearson.pearson_series`
+* the Pearson block reproduces :func:`repro.corr.pearson.pearson_series`
   expression-for-expression (per-column ``.mean()``, columnwise ``cumsum``
   — strictly sequential in NumPy — and the same elementwise
   ``_corr_from_moments``);
@@ -28,11 +31,7 @@ per-window reference loop (:func:`reference_pair_series`):
   trajectory is independent of which other windows share its batch — batch
   composition and chunk boundaries cannot change any result (guaranteed by
   :func:`repro.corr.maronna.maronna_corr_batched` and asserted by the
-  property tests in ``tests/test_corr_batch.py`` and the bench smoke).
-
-The scalar path stays in the tree as the oracle: every engine accepts
-``backend="scalar"|"batch"`` (see :func:`pair_series_matrix`) and the test
-suite asserts equality to the last ulp on both MPI backends.
+  property tests in ``tests/test_corr_batch.py``).
 """
 
 from __future__ import annotations
@@ -40,18 +39,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bars.returns import sliding_windows
-from repro.corr.combined import combined_corr_batched
-from repro.corr.maronna import MaronnaConfig, maronna_corr_batched
-from repro.corr.measures import CorrelationType, corr_series
-from repro.corr.pearson import _corr_from_moments, pearson_series
+from repro.corr.maronna import MaronnaConfig
+from repro.corr.measures import (
+    BATCHED_KERNELS,
+    CorrelationType,
+    all_pairs,
+    check_pairs,
+)
+from repro.corr.pearson import _corr_from_moments, pearson_matrix, pearson_series
 from repro.obs import NULL_METRIC, Obs
 from repro.util.validation import check_positive_int
 
-#: Valid values of the engine ``backend`` seam.
-BACKENDS = ("scalar", "batch")
-
-#: Cap on elements materialised per Pearson chunk — same budget as the
-#: scalar path's ``repro.corr.measures._CHUNK_ELEMENTS``.
+#: Cap on elements materialised per Pearson cross-moment chunk.
 _CHUNK_ELEMENTS = 2_000_000
 
 #: Cap on elements per robust-kernel batch.  The fixed-point iteration
@@ -59,27 +58,6 @@ _CHUNK_ELEMENTS = 2_000_000
 #: must stay cache-resident: 64k elements (512 KiB per buffer) measured
 #: ~1.5x faster than megabyte-scale batches on the paper-day workload.
 _ROBUST_CHUNK_ELEMENTS = 65_536
-
-
-def check_backend(backend: str) -> str:
-    """Validate a correlation ``backend`` name and return it.
-
-    Parameters
-    ----------
-    backend : str
-        One of :data:`BACKENDS` (``"scalar"`` or ``"batch"``).
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    return backend
-
-
-def all_pairs(n: int) -> list[tuple[int, int]]:
-    """The ``n·(n-1)/2`` ordered symbol pairs ``(i, j)`` with ``i < j``."""
-    check_positive_int(n, "n")
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 class BatchWorkspace:
@@ -125,13 +103,16 @@ def _validate(
     T, n = returns.shape
     if T < m:
         raise ValueError(f"need at least {m} return rows, got {T}")
-    if pairs is None:
-        pairs = all_pairs(n)
-    else:
-        pairs = [tuple(p) for p in pairs]
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
+    finite = np.isfinite(returns)
+    if not finite.all():
+        # One NaN would poison every Pearson window (global centring and
+        # cumsum) and read back as 0.0 — "uncorrelated" — so refuse it.
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"returns must be finite, got {returns[row, col]} at "
+            f"(row {row}, column {col})"
+        )
+    pairs = all_pairs(n) if pairs is None else check_pairs(pairs, n)
     return returns, ctype, pairs, T - m + 1
 
 
@@ -167,8 +148,8 @@ def _pearson_batch(
     idx_j = np.asarray([j for _, j in pairs], dtype=np.intp)
 
     # Per-symbol means via 1-D column reductions: ``x.mean()`` of a strided
-    # column and an axis-0 reduction can differ in the last ulp, and the
-    # scalar oracle uses the former — so the batch path must too (n calls,
+    # column and an axis-0 reduction can differ in the last ulp, and
+    # ``pearson_series`` uses the former — so the block must too (n calls,
     # negligible cost).
     mu = np.zeros(n)
     for s in sorted({int(i) for i, j in pairs} | {int(j) for i, j in pairs}):
@@ -225,13 +206,9 @@ def _robust_batch(
     kernels: one convergence mask over all pairs and windows at once.
     Per-window convergence freezing makes each row's result independent of
     the batch composition, so the flat-row chunking below cannot change
-    any value relative to the per-pair scalar path.
+    any value.
     """
-    kernel = (
-        maronna_corr_batched
-        if ctype is CorrelationType.MARONNA
-        else combined_corr_batched
-    )
+    kernel = BATCHED_KERNELS[ctype]
     n_win = out.shape[0]
     n_pairs = len(pairs)
     wins = [
@@ -239,30 +216,26 @@ def _robust_batch(
         for i, j in pairs
     ]
     total_rows = n_pairs * n_win
-    chunk_rows = min(max(1, _ROBUST_CHUNK_ELEMENTS // m), total_rows)
+    chunk_rows = max(1, min(_ROBUST_CHUNK_ELEMENTS // m, total_rows))
     bufx = ws.get("robust.bufx", (chunk_rows, m))
     bufy = ws.get("robust.bufy", (chunk_rows, m))
     n_chunks = 0
     for lo in range(0, total_rows, chunk_rows):
         hi = min(lo + chunk_rows, total_rows)
-        # Gather: copy each covered pair's window slice into the stack.
-        r, pos = 0, lo
+        # The (buffer row, pair, first window, row count) runs of this chunk.
+        runs = []
+        pos = lo
         while pos < hi:
             p, w = divmod(pos, n_win)
             take = min(hi - pos, n_win - w)
+            runs.append((pos - lo, p, w, take))
+            pos += take
+        for r, p, w, take in runs:  # gather window slices into the stack
             bufx[r : r + take] = wins[p][0][w : w + take]
             bufy[r : r + take] = wins[p][1][w : w + take]
-            r += take
-            pos += take
-        vals = kernel(bufx[:r], bufy[:r], config)
-        # Scatter back to (window, pair) coordinates.
-        r, pos = 0, lo
-        while pos < hi:
-            p, w = divmod(pos, n_win)
-            take = min(hi - pos, n_win - w)
+        vals = kernel(bufx[: hi - lo], bufy[: hi - lo], config)
+        for r, p, w, take in runs:  # scatter back to (window, pair)
             out[w : w + take, p] = vals[r : r + take]
-            r += take
-            pos += take
         n_chunks += 1
     return n_chunks
 
@@ -339,88 +312,62 @@ def batch_pair_series(
     return out
 
 
-def scalar_pair_series(
-    returns: np.ndarray,
+def corr_series(
+    x,
+    y,
     m: int,
     ctype: CorrelationType | str = CorrelationType.PEARSON,
     config: MaronnaConfig | None = None,
-    pairs: list[tuple[int, int]] | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The scalar oracle: one :func:`corr_series` call per pair.
+    """Rolling window-``m`` correlation series of two 1-D return series.
 
-    Same shape and semantics as :func:`batch_pair_series`; this is the
-    per-pair path the engines have always run and the reference the batch
-    backend is tested bitwise against.
+    Output index ``k`` covers observations ``k .. k + m - 1``
+    (length ``T - m + 1``), identical across measures.  This is the
+    one-pair job of Approach 2: the robust measures run the same chunked
+    kernel loop as a one-pair block, Pearson is
+    :func:`repro.corr.pearson.pearson_series` itself.
     """
-    returns, ctype, pairs, n_win = _validate(returns, m, ctype, pairs)
-    out = _out_buffer(out, n_win, len(pairs))
-    for p, (i, j) in enumerate(pairs):
-        out[:, p] = corr_series(returns[:, i], returns[:, j], m, ctype, config)
-    return out
-
-
-def reference_pair_series(
-    returns: np.ndarray,
-    m: int,
-    ctype: CorrelationType | str = CorrelationType.PEARSON,
-    config: MaronnaConfig | None = None,
-    pairs: list[tuple[int, int]] | None = None,
-) -> np.ndarray:
-    """The fully scalar per-pair/per-window loop — the bench baseline.
-
-    For the robust measures this really does run one fixed-point iteration
-    per window (batch size 1), i.e. the genuine scalar while-loop cost the
-    batch path replaces; per-window convergence freezing makes its results
-    bitwise-identical to both other paths.  Pearson has no per-window
-    scalar form in the tree (the rolling cumsum identity *is* the scalar
-    path), so it delegates to :func:`repro.corr.pearson.pearson_series`.
-    """
-    returns, ctype, pairs, n_win = _validate(returns, m, ctype, pairs)
-    out = np.empty((n_win, len(pairs)))
-    if ctype is CorrelationType.PEARSON:
-        for p, (i, j) in enumerate(pairs):
-            out[:, p] = pearson_series(returns[:, i], returns[:, j], m)
-        return out
-    kernel = (
-        maronna_corr_batched
-        if ctype is CorrelationType.MARONNA
-        else combined_corr_batched
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"need equal-length 1-D inputs, got {x.shape} vs {y.shape}")
+    returns, ctype, pairs, n_win = _validate(
+        np.column_stack((x, y)), m, ctype, None
     )
-    for p, (i, j) in enumerate(pairs):
-        xw = sliding_windows(returns[:, i], m)
-        yw = sliding_windows(returns[:, j], m)
-        for w in range(n_win):
-            out[w, p] = kernel(xw[w : w + 1], yw[w : w + 1], config)[0]
-    return out
+    if ctype is CorrelationType.PEARSON:
+        return pearson_series(x, y, m)
+    out = np.empty((n_win, 1))
+    _robust_batch(returns, m, ctype, config, pairs, out, BatchWorkspace())
+    return out[:, 0]
 
 
-def pair_series_matrix(
+def corr_matrix_series(
     returns: np.ndarray,
     m: int,
     ctype: CorrelationType | str = CorrelationType.PEARSON,
     config: MaronnaConfig | None = None,
-    pairs: list[tuple[int, int]] | None = None,
-    backend: str = "batch",
-    obs: Obs | None = None,
-    workspace: BatchWorkspace | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Backend-dispatching entry point for all-pairs correlation series.
+    """Series of full correlation matrices over a rolling window.
 
-    Parameters
-    ----------
-    backend : {"batch", "scalar"}
-        ``"batch"`` runs :func:`batch_pair_series`; ``"scalar"`` runs the
-        per-pair oracle :func:`scalar_pair_series`.  Outputs are bitwise
-        identical; only the cost profile differs.
+    Input ``(T, n)`` returns, output ``(T - m + 1, n, n)``; matrix ``k``
+    covers return rows ``k .. k + m - 1``.  This materialises what the
+    paper's Approach 1 stored on disk — at full scale it is the memory
+    hog the paper complains about, which is the point.
 
-    Other parameters are as in :func:`batch_pair_series`.
+    Pearson is one matrix product per window; the robust measures are one
+    :func:`batch_pair_series` block scattered into the matrices.
     """
-    check_backend(backend)
-    if backend == "batch":
-        return batch_pair_series(
-            returns, m, ctype, config, pairs,
-            obs=obs, workspace=workspace, out=out,
-        )
-    return scalar_pair_series(returns, m, ctype, config, pairs, out=out)
+    returns, ctype, pairs, n_win = _validate(returns, m, ctype, None)
+    n = returns.shape[1]
+    out = np.empty((n_win, n, n))
+    if ctype is CorrelationType.PEARSON:
+        for k in range(n_win):
+            out[k] = pearson_matrix(returns[k : k + m])
+        return out
+    out[:, np.arange(n), np.arange(n)] = 1.0
+    block = batch_pair_series(returns, m, ctype, config, pairs)
+    idx_i = np.asarray([i for i, _ in pairs], dtype=np.intp)
+    idx_j = np.asarray([j for _, j in pairs], dtype=np.intp)
+    out[:, idx_i, idx_j] = block
+    out[:, idx_j, idx_i] = block
+    return out

@@ -1,13 +1,11 @@
-"""Measure selection and high-level correlation entry points.
+"""Measure selection and the single-window correlation entry points.
 
-Everything downstream (strategy, backtesters, pipeline components) talks to
-correlation through these four functions plus the :class:`CorrelationType`
-enum, so swapping the paper's three treatments is a parameter change, never
-a code change.
-
-Batched robust computation is chunked to bound peak memory: a full-scale
-day at the paper's sizes (1830 pairs × 680 windows × M=100) would otherwise
-materialise ~10⁸-element temporaries per iteration.
+Everything downstream (strategy, backtesters, pipeline components) names a
+treatment through the :class:`CorrelationType` enum, so swapping the
+paper's three measures is a parameter change, never a code change.  This
+module covers one window at a time (:func:`pairwise_corr`,
+:func:`corr_matrix`); rolling series over a day live in
+:mod:`repro.corr.batch`.
 """
 
 from __future__ import annotations
@@ -16,19 +14,14 @@ import enum
 
 import numpy as np
 
-from repro.bars.returns import sliding_windows
 from repro.corr.combined import combined_corr, combined_corr_batched
 from repro.corr.maronna import MaronnaConfig, maronna_corr, maronna_corr_batched
 from repro.corr.pearson import (
     pearson_corr,
     pearson_corr_batched,
     pearson_matrix,
-    pearson_series,
 )
 from repro.util.validation import check_positive_int
-
-#: Cap on elements per batched robust kernel invocation.
-_CHUNK_ELEMENTS = 2_000_000
 
 
 class CorrelationType(enum.Enum):
@@ -60,11 +53,31 @@ _SCALAR = {
     CorrelationType.COMBINED: combined_corr,
 }
 
-_BATCHED = {
+#: The batched ``(xw, yw, config) -> per-row correlation`` kernel of each
+#: treatment — the one table that says which code computes which measure.
+BATCHED_KERNELS = {
     CorrelationType.PEARSON: lambda xw, yw, cfg: pearson_corr_batched(xw, yw),
     CorrelationType.MARONNA: maronna_corr_batched,
     CorrelationType.COMBINED: combined_corr_batched,
 }
+
+
+def all_pairs(n: int) -> list[tuple[int, int]]:
+    """The ``n·(n-1)/2`` ordered symbol pairs ``(i, j)`` with ``i < j``."""
+    check_positive_int(n, "n")
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def check_pairs(pairs, n: int) -> list[tuple[int, int]]:
+    """Require every pair to name two distinct symbols of an ``n``-universe.
+
+    Returns the pairs as a list of tuples.
+    """
+    pairs = [tuple(p) for p in pairs]
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
+    return pairs
 
 
 def pairwise_corr(
@@ -76,42 +89,6 @@ def pairwise_corr(
     """Correlation of two equal-length 1-D samples under ``ctype``."""
     ctype = CorrelationType.parse(ctype)
     return _SCALAR[ctype](x, y, config)
-
-
-def _batched(ctype: CorrelationType, xw, yw, config) -> np.ndarray:
-    return _BATCHED[ctype](xw, yw, config)
-
-
-def corr_series(
-    x,
-    y,
-    m: int,
-    ctype: CorrelationType | str = CorrelationType.PEARSON,
-    config: MaronnaConfig | None = None,
-) -> np.ndarray:
-    """Rolling window-``m`` correlation series of two 1-D return series.
-
-    Output index ``k`` covers observations ``k .. k + m - 1``
-    (length ``T - m + 1``), identical across measures.
-    """
-    ctype = CorrelationType.parse(ctype)
-    check_positive_int(m, "m")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError(f"need equal-length 1-D inputs, got {x.shape} vs {y.shape}")
-    if ctype is CorrelationType.PEARSON:
-        return pearson_series(x, y, m)
-
-    xw = sliding_windows(x, m)
-    yw = sliding_windows(y, m)
-    n_win = xw.shape[0]
-    chunk = max(1, _CHUNK_ELEMENTS // m)
-    out = np.empty(n_win)
-    for lo in range(0, n_win, chunk):
-        hi = min(lo + chunk, n_win)
-        out[lo:hi] = _batched(ctype, xw[lo:hi], yw[lo:hi], config)
-    return out
 
 
 def corr_matrix(
@@ -137,78 +114,19 @@ def corr_matrix(
     if pairs is None:
         if ctype is CorrelationType.PEARSON:
             return pearson_matrix(window)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs = all_pairs(n)
         full = True
     else:
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
+        pairs = check_pairs(pairs, n)
         full = False
 
     out = np.zeros((n, n))
     if pairs:
         idx_i = np.asarray([i for i, _ in pairs], dtype=np.intp)
         idx_j = np.asarray([j for _, j in pairs], dtype=np.intp)
-        vals = _batched(ctype, window.T[idx_i], window.T[idx_j], config)
+        vals = BATCHED_KERNELS[ctype](window.T[idx_i], window.T[idx_j], config)
         out[idx_i, idx_j] = vals
         out[idx_j, idx_i] = vals
     if full:
         np.fill_diagonal(out, 1.0)
-    return out
-
-
-def corr_matrix_series(
-    returns: np.ndarray,
-    m: int,
-    ctype: CorrelationType | str = CorrelationType.PEARSON,
-    config: MaronnaConfig | None = None,
-    backend: str = "scalar",
-) -> np.ndarray:
-    """Series of full correlation matrices over a rolling window.
-
-    Input ``(T, n)`` returns, output ``(T - m + 1, n, n)``; matrix ``k``
-    covers return rows ``k .. k + m - 1``.  This materialises what the
-    paper's Approach 1 stored on disk — at full scale it is the memory
-    hog the paper complains about, which is the point.
-
-    ``backend`` selects how the robust/blended entries are produced:
-    ``"scalar"`` loops one pair at a time (the oracle), ``"batch"`` runs
-    the all-pairs kernel of :mod:`repro.corr.batch`; outputs are bitwise
-    identical.  The Pearson branch is already a per-interval batch over
-    all pairs (one matrix product per window) and is shared by both
-    backends.
-    """
-    from repro.corr.batch import batch_pair_series, check_backend
-
-    ctype = CorrelationType.parse(ctype)
-    check_positive_int(m, "m")
-    check_backend(backend)
-    returns = np.asarray(returns, dtype=float)
-    if returns.ndim != 2:
-        raise ValueError(f"need (T, n) returns, got shape {returns.shape}")
-    T, n = returns.shape
-    if T < m:
-        raise ValueError(f"need at least {m} return rows, got {T}")
-    n_win = T - m + 1
-    out = np.empty((n_win, n, n))
-    if ctype is CorrelationType.PEARSON:
-        for k in range(n_win):
-            out[k] = pearson_matrix(returns[k : k + m])
-        return out
-    out[:] = 0.0
-    out[:, np.arange(n), np.arange(n)] = 1.0
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if backend == "batch":
-        block = batch_pair_series(returns, m, ctype, config, pairs)
-        idx_i = np.asarray([i for i, _ in pairs], dtype=np.intp)
-        idx_j = np.asarray([j for _, j in pairs], dtype=np.intp)
-        out[:, idx_i, idx_j] = block
-        out[:, idx_j, idx_i] = block
-        return out
-    # Scalar oracle: compute each pair's whole series one pair at a time
-    # (the per-pair series kernel re-uses windows efficiently).
-    for i, j in pairs:
-        series = corr_series(returns[:, i], returns[:, j], m, ctype, config)
-        out[:, i, j] = series
-        out[:, j, i] = series
     return out

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.corr.batch import BatchWorkspace, batch_pair_series, check_backend
+from repro.corr.batch import BatchWorkspace, batch_pair_series
 from repro.corr.maronna import MaronnaConfig
-from repro.corr.measures import CorrelationType, corr_matrix, corr_series
+from repro.corr.measures import CorrelationType, all_pairs, check_pairs, corr_matrix
 from repro.mpi.api import SUM, Comm
 from repro.obs import NULL_METRIC, comm_obs
 
@@ -57,27 +57,22 @@ def partition_pairs(
 class ParallelCorrelationEngine:
     """Distribute pairwise correlation work across the ranks of a Comm.
 
-    ``backend`` selects how each rank computes its pair block:
-    ``"scalar"`` is the per-pair oracle loop, ``"batch"`` drives the
-    block through :func:`repro.corr.batch.batch_pair_series`.  Results
-    are bitwise-identical across backends, rank counts and MPI backends;
-    only the cost profile differs.
+    Each rank drives its pair block through
+    :func:`repro.corr.batch.batch_pair_series`; results are
+    bitwise-identical across rank counts and MPI backends.
     """
 
     def __init__(
         self,
         ctype: CorrelationType | str = CorrelationType.PEARSON,
         config: MaronnaConfig | None = None,
-        backend: str = "scalar",
     ):
         self.ctype = CorrelationType.parse(ctype)
         self.config = config
-        self.backend = check_backend(backend)
-        self._workspace = BatchWorkspace() if backend == "batch" else None
+        self._workspace = BatchWorkspace()
 
     def _my_pairs(self, comm: Comm, n: int) -> list[tuple[int, int]]:
-        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return partition_pairs(all_pairs, comm.size)[comm.rank]
+        return partition_pairs(all_pairs(n), comm.size)[comm.rank]
 
     def matrix(self, comm: Comm, window: np.ndarray) -> np.ndarray:
         """Full (n, n) correlation matrix of an ``(M, n)`` window, SPMD.
@@ -109,22 +104,24 @@ class ParallelCorrelationEngine:
         The pair list is partitioned across ranks; each rank computes its
         block's series and an all-gather merges the blocks, so every rank
         returns the complete ``{pair: series}`` mapping.  Series indexing
-        matches :func:`repro.corr.measures.corr_series`.
+        matches :func:`repro.corr.batch.corr_series`.
         """
         returns = np.asarray(returns, dtype=float)
         if returns.ndim != 2:
             raise ValueError(f"need (T, n) returns, got shape {returns.shape}")
-        n = returns.shape[1]
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
+        # Every rank checks the whole list, so a bad pair fails all ranks
+        # together instead of stranding the others in the all-gather.
+        pairs = check_pairs(pairs, returns.shape[1])
         with _method_timer(comm, "pair_series"):
-            blocks = partition_pairs(list(pairs), comm.size)
-            mine = blocks[comm.rank]
+            mine = partition_pairs(pairs, comm.size)[comm.rank]
             obs = comm_obs(comm)
             if obs is not None and obs.enabled:
                 obs.metrics.counter("corr.parallel.pairs_local").inc(len(mine))
-            local = self._block_series(comm, returns, m, mine)
+            block = self._block_series(comm, returns, m, mine)
+            local = {
+                pair: np.ascontiguousarray(block[:, p])
+                for p, pair in enumerate(mine)
+            }
             merged: dict[tuple[int, int], np.ndarray] = {}
             for part in comm.allgather(local):
                 merged.update(part)
@@ -136,23 +133,12 @@ class ParallelCorrelationEngine:
         returns: np.ndarray,
         m: int,
         mine: list[tuple[int, int]],
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """This rank's ``{pair: series}`` block under the configured backend."""
-        if self.backend == "batch" and mine:
-            block = batch_pair_series(
-                returns, m, self.ctype, self.config, pairs=mine,
-                obs=comm_obs(comm), workspace=self._workspace,
-            )
-            return {
-                pair: np.ascontiguousarray(block[:, p])
-                for p, pair in enumerate(mine)
-            }
-        return {
-            (i, j): corr_series(
-                returns[:, i], returns[:, j], m, self.ctype, self.config
-            )
-            for i, j in mine
-        }
+    ) -> np.ndarray:
+        """This rank's ``(n_windows, len(mine))`` block of series."""
+        return batch_pair_series(
+            returns, m, self.ctype, self.config, pairs=mine,
+            obs=comm_obs(comm), workspace=self._workspace,
+        )
 
     def matrix_series(
         self, comm: Comm, returns: np.ndarray, m: int
@@ -160,26 +146,21 @@ class ParallelCorrelationEngine:
         """Series of full correlation matrices, SPMD; shape (T-m+1, n, n).
 
         The parallel counterpart of
-        :func:`repro.corr.measures.corr_matrix_series` — each rank computes
+        :func:`repro.corr.batch.corr_matrix_series` — each rank computes
         its pair block's series, assembled by SUM all-reduce.
         """
         returns = np.asarray(returns, dtype=float)
         if returns.ndim != 2:
             raise ValueError(f"need (T, n) returns, got shape {returns.shape}")
-        T, n = returns.shape
-        if T < m:
-            raise ValueError(f"need at least {m} return rows, got {T}")
+        n = returns.shape[1]
         with _method_timer(comm, "matrix_series"):
-            n_win = T - m + 1
             mine = self._my_pairs(comm, n)
-            partial = np.zeros((n_win, n, n))
-            if mine:
-                local = self._block_series(comm, returns, m, mine)
-                block = np.column_stack([local[pair] for pair in mine])
-                idx_i = np.asarray([i for i, _ in mine], dtype=np.intp)
-                idx_j = np.asarray([j for _, j in mine], dtype=np.intp)
-                partial[:, idx_i, idx_j] = block
-                partial[:, idx_j, idx_i] = block
+            block = self._block_series(comm, returns, m, mine)
+            partial = np.zeros((block.shape[0], n, n))
+            idx_i = np.asarray([i for i, _ in mine], dtype=np.intp)
+            idx_j = np.asarray([j for _, j in mine], dtype=np.intp)
+            partial[:, idx_i, idx_j] = block
+            partial[:, idx_j, idx_i] = block
             full = comm.allreduce(partial, op=SUM)
             full[:, np.arange(n), np.arange(n)] = 1.0
             return full

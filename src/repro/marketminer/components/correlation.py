@@ -33,7 +33,7 @@ import copy
 import numpy as np
 
 from repro.corr.maronna import MaronnaConfig
-from repro.corr.measures import CorrelationType, corr_matrix
+from repro.corr.measures import CorrelationType, check_pairs, corr_matrix
 from repro.corr.online import OnlineCorrelationEngine
 from repro.faults.policy import DegradePolicy, StaleCorr
 from repro.marketminer.component import Component, Context
@@ -62,10 +62,7 @@ class CorrelationEngineComponent(Component):
         self._engine = OnlineCorrelationEngine(n_symbols, m, ctype, config)
         self._config = config
         if pairs is not None:
-            pairs = [tuple(sorted(p)) for p in pairs]
-            for i, j in pairs:
-                if not (0 <= i < n_symbols and 0 <= j < n_symbols and i != j):
-                    raise ValueError(f"invalid pair ({i}, {j})")
+            pairs = check_pairs([sorted(p) for p in pairs], n_symbols)
             if len(set(pairs)) != len(pairs):
                 raise ValueError("duplicate pairs")
         self.pairs = pairs

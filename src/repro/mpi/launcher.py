@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 from repro.mpi.inproc import ThreadBackend
 from repro.mpi.procs import ProcessBackend
 
-_BACKENDS = {
+_BACKEND_CLASSES = {
     "thread": ThreadBackend,
     "process": ProcessBackend,
 }
@@ -22,7 +22,7 @@ _BACKENDS = {
 
 def available_backends() -> tuple[str, ...]:
     """Names accepted by :func:`run_spmd`'s ``backend`` argument."""
-    return tuple(sorted(_BACKENDS))
+    return tuple(sorted(_BACKEND_CLASSES))
 
 
 def backend_capacity(backend: str) -> int:
@@ -33,7 +33,7 @@ def backend_capacity(backend: str) -> int:
     ``ValueError`` at the boundary, not a half-built world.
     """
     try:
-        backend_cls = _BACKENDS[backend]
+        backend_cls = _BACKEND_CLASSES[backend]
     except KeyError:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {available_backends()}"
@@ -69,7 +69,7 @@ def run_spmd(
         Per-rank return values indexed by rank.
     """
     try:
-        backend_cls = _BACKENDS[backend]
+        backend_cls = _BACKEND_CLASSES[backend]
     except KeyError:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {available_backends()}"

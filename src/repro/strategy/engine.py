@@ -62,7 +62,7 @@ class Trade:
 def align_corr_series(series: np.ndarray, smax: int, m: int) -> np.ndarray:
     """Embed a rolling-correlation series into full interval indexing.
 
-    ``series`` is the output of :func:`repro.corr.measures.corr_series`
+    ``series`` is the output of :func:`repro.corr.batch.corr_series`
     computed on the day's 1-period returns (length ``smax - 1``): its
     index ``k`` covers returns ``k .. k+m-1``, i.e. prices ``k .. k+m``,
     so it is ``C(s)`` for ``s = k + m``.  The result has length ``smax``

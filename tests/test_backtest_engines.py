@@ -14,10 +14,13 @@ from repro.backtest.distributed import DistributedBacktester
 from repro.backtest.matrices import MatrixSeriesBacktester
 from repro.backtest.results import ResultStore
 from repro.backtest.runner import SequentialBacktester, backtest_pair_day
+from repro.strategy.costs import execution_salt
+from repro.strategy.engine import align_corr_series, run_pair_day
 from repro.strategy.params import StrategyParams
 from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
 from repro.taq.universe import default_universe
 from repro.util.timeutil import TimeGrid
+from tests.oracle import reference_pair_series
 
 BASE = StrategyParams(m=30, w=15, y=5, rt=15, hp=10, st=5, d=0.002)
 
@@ -145,12 +148,16 @@ class TestEquivalence:
     def test_all_three_engines_agree(self, provider, small_setup):
         pairs, grid, days = small_setup
         seq = SequentialBacktester(provider).run(pairs, grid, days)
+        shared = SequentialBacktester(provider, share_correlation=True).run(
+            pairs, grid, days
+        )
         mat = MatrixSeriesBacktester(provider).run(pairs, grid, days)
 
         def spmd(comm):
             return DistributedBacktester(provider).run(comm, pairs, grid, days)
 
         dist = mpi.run_spmd(spmd, size=3)[0]
+        assert seq == shared
         assert seq == mat
         assert seq == dist
 
@@ -177,49 +184,56 @@ class TestEquivalence:
 
 
 class TestBatchBackendEquivalence:
-    """corr_backend="batch" must be bitwise-invisible in every engine."""
+    """Every engine's batch-kernel correlations reproduce a store built
+    from the per-window oracle — an answer none of the engines computed."""
 
     @pytest.fixture(scope="class")
-    def scalar_store(self, provider, small_setup):
+    def oracle_store(self, provider, small_setup):
         pairs, grid, days = small_setup
-        return SequentialBacktester(provider, share_correlation=True).run(
+        store = ResultStore()
+        for day in days:
+            prices, returns = provider.prices(day), provider.returns(day)
+            for k, params in enumerate(grid):
+                block = reference_pair_series(
+                    returns, params.m, params.ctype, pairs=pairs
+                )
+                for p, (i, j) in enumerate(pairs):
+                    corr = align_corr_series(block[:, p], provider.smax, params.m)
+                    trades = run_pair_day(
+                        prices[:, [i, j]], corr, params,
+                        salt=execution_salt((i, j), k),
+                    )
+                    store.add((i, j), k, day, [t.ret for t in trades])
+        return store
+
+    def test_sequential_batch(self, provider, small_setup, oracle_store):
+        pairs, grid, days = small_setup
+        got = SequentialBacktester(provider, share_correlation=True).run(
             pairs, grid, days
         )
+        assert got == oracle_store
 
-    def test_sequential_batch(self, provider, small_setup, scalar_store):
+    def test_matrix_series_batch(self, provider, small_setup, oracle_store):
         pairs, grid, days = small_setup
-        got = SequentialBacktester(
-            provider, share_correlation=True, corr_backend="batch"
-        ).run(pairs, grid, days)
-        assert got == scalar_store
-
-    def test_matrix_series_batch(self, provider, small_setup, scalar_store):
-        pairs, grid, days = small_setup
-        got = MatrixSeriesBacktester(provider, corr_backend="batch").run(
-            pairs, grid, days
-        )
-        assert got == scalar_store
+        got = MatrixSeriesBacktester(provider).run(pairs, grid, days)
+        assert got == oracle_store
 
     @pytest.mark.parametrize("mpi_backend", ["thread", "process"])
     def test_distributed_batch_both_mpi_backends(
-        self, provider, small_setup, scalar_store, mpi_backend
+        self, provider, small_setup, oracle_store, mpi_backend
     ):
         pairs, grid, days = small_setup
 
         def spmd(comm):
-            return DistributedBacktester(provider, corr_backend="batch").run(
-                comm, pairs, grid, days
-            )
+            return DistributedBacktester(provider).run(comm, pairs, grid, days)
 
         results = mpi.run_spmd(spmd, size=3, backend=mpi_backend)
-        assert all(r == scalar_store for r in results)
+        assert all(r == oracle_store for r in results)
 
     def test_engines_reject_unknown_backend(self, provider):
-        with pytest.raises(ValueError, match="backend"):
-            SequentialBacktester(
-                provider, share_correlation=True, corr_backend="vector"
-            )
-        with pytest.raises(ValueError, match="backend"):
-            MatrixSeriesBacktester(provider, corr_backend="vector")
-        with pytest.raises(ValueError, match="backend"):
-            DistributedBacktester(provider, corr_backend="vector")
+        """The implementation selector is gone, not merely ignored."""
+        for engine in (
+            SequentialBacktester, MatrixSeriesBacktester, DistributedBacktester
+        ):
+            with pytest.raises(TypeError, match="corr_backend"):
+                engine(provider, corr_backend="batch")

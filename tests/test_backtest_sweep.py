@@ -32,7 +32,7 @@ class TestSweepConfig:
             {"n_days": 0},
             {"engine": "quantum"},
             {"ranks": 0},
-            {"corr_backend": "simd"},
+            {"corr_backend": "batch"},  # the removed selector is not a field
         ],
     )
     def test_validation(self, kwargs):
@@ -80,20 +80,6 @@ class TestRunSweep:
         store2, grid2 = run_sweep(cfg)
         assert store == store2
         assert grid == grid2
-
-    @pytest.mark.parametrize("engine", ["sequential", "distributed"])
-    def test_batch_backend_equivalent(self, small_sweep, engine):
-        store, _ = small_sweep
-        cfg = SweepConfig(
-            n_symbols=6,
-            n_days=2,
-            n_levels=2,
-            trading_seconds=23_400 // 4,
-            engine=engine,
-            corr_backend="batch",
-        )
-        store2, _ = run_sweep(cfg)
-        assert store == store2
 
     def test_deterministic_across_rank_counts(self):
         base = dict(n_symbols=4, n_days=1, n_levels=1, trading_seconds=2400)

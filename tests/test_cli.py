@@ -67,15 +67,12 @@ class TestSweep:
         assert "Table III" in capsys.readouterr().out
 
     def test_corr_backend_flag(self, capsys):
-        args = build_parser().parse_args(["sweep"])
-        assert args.corr_backend == "scalar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--corr-backend", "simd"])
-        assert main(
-            ["sweep", *FAST, "--days", "1", "--levels", "1", "--ranks", "1",
-             "--corr-backend", "batch"]
-        ) == 0
-        assert "Table III" in capsys.readouterr().out
+        """There is one correlation path; the flag that chose is gone."""
+        assert not hasattr(build_parser().parse_args(["sweep"]), "corr_backend")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--corr-backend", "batch"])
+        assert exc.value.code == 2
+        assert "--corr-backend" in capsys.readouterr().err
 
 
 class TestPipeline:

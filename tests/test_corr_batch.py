@@ -1,9 +1,9 @@
-"""Tests for the all-pairs batch correlation kernels and the backend seam.
+"""Tests for the all-pairs batch correlation kernels — the one path.
 
-The load-bearing invariant: ``backend="batch"`` is bitwise-identical to the
-per-pair scalar oracle (and, for the robust measures, to the genuine
-per-window scalar loop) — every equality below is ``np.array_equal``, never
-``allclose``.
+The load-bearing invariant: a :func:`batch_pair_series` block is
+bitwise-identical to the per-window oracle (``tests/oracle.py``) and to a
+per-pair :func:`corr_series` loop — every equality below is
+``np.array_equal``, never ``allclose``.
 """
 
 import json
@@ -15,17 +15,13 @@ from repro import mpi
 from repro.backtest.data import BarProvider
 from repro.backtest.runner import SequentialBacktester
 from repro.corr.batch import (
-    BACKENDS,
     BatchWorkspace,
-    all_pairs,
     batch_pair_series,
-    check_backend,
-    pair_series_matrix,
-    reference_pair_series,
-    scalar_pair_series,
+    corr_matrix_series,
+    corr_series,
 )
 from repro.corr.maronna import MaronnaConfig
-from repro.corr.measures import corr_matrix_series, corr_series
+from repro.corr.measures import all_pairs
 from repro.corr.parallel import ParallelCorrelationEngine
 from repro.obs import Obs
 from repro.strategy.engine import align_corr_series
@@ -33,6 +29,7 @@ from repro.strategy.params import StrategyParams
 from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
 from repro.taq.universe import default_universe
 from repro.util.timeutil import TimeGrid
+from tests.oracle import reference_pair_series
 
 CTYPES = ("pearson", "maronna", "combined")
 
@@ -47,16 +44,19 @@ def random_returns(rng, T, n, outlier_prob=0.02, constant_col=False):
     return r
 
 
+def per_pair_series(returns, m, ctype, config=None, pairs=None):
+    """One :func:`corr_series` call per pair — the Approach-2 job shape."""
+    if pairs is None:
+        pairs = all_pairs(returns.shape[1])
+    return np.column_stack(
+        [corr_series(returns[:, i], returns[:, j], m, ctype, config) for i, j in pairs]
+    )
+
+
 class TestHelpers:
     def test_all_pairs(self):
         assert all_pairs(3) == [(0, 1), (0, 2), (1, 2)]
         assert len(all_pairs(61)) == 1830
-
-    def test_check_backend(self):
-        for b in BACKENDS:
-            assert check_backend(b) == b
-        with pytest.raises(ValueError, match="backend"):
-            check_backend("gpu")
 
     def test_workspace_reuse_and_nbytes(self):
         ws = BatchWorkspace()
@@ -68,7 +68,8 @@ class TestHelpers:
 
 
 class TestPropertyBatchEqualsScalar:
-    """Random shapes, windows and data: batch == scalar to the last ulp."""
+    """Random shapes, windows and data: batch == per-pair == per-window
+    oracle to the last ulp."""
 
     @pytest.mark.parametrize("trial", range(8))
     def test_random_universe(self, trial):
@@ -82,9 +83,11 @@ class TestPropertyBatchEqualsScalar:
         ctype = CTYPES[trial % 3]
         ws = BatchWorkspace()
         batch = batch_pair_series(returns, m, ctype, workspace=ws)
-        scalar = scalar_pair_series(returns, m, ctype)
         assert batch.shape == (T - m + 1, n * (n - 1) // 2)
-        np.testing.assert_array_equal(batch, scalar)
+        np.testing.assert_array_equal(batch, per_pair_series(returns, m, ctype))
+        np.testing.assert_array_equal(
+            batch, reference_pair_series(returns, m, ctype)
+        )
 
     @pytest.mark.parametrize("ctype", ["maronna", "combined"])
     def test_matches_per_window_reference(self, ctype):
@@ -97,24 +100,23 @@ class TestPropertyBatchEqualsScalar:
     def test_pearson_reference_is_the_rolling_series(self):
         rng = np.random.default_rng(8)
         returns = random_returns(rng, 60, 5)
-        np.testing.assert_array_equal(
-            reference_pair_series(returns, 20, "pearson"),
-            scalar_pair_series(returns, 20, "pearson"),
-        )
+        ref = reference_pair_series(returns, 20, "pearson")
+        np.testing.assert_array_equal(ref, per_pair_series(returns, 20, "pearson"))
+        np.testing.assert_array_equal(ref, batch_pair_series(returns, 20, "pearson"))
 
     def test_subset_pairs_and_out_buffer(self):
         rng = np.random.default_rng(9)
         returns = random_returns(rng, 80, 6)
         pairs = [(0, 5), (3, 1), (2, 4)]
         out = np.empty((80 - 15 + 1, 3))
-        got = pair_series_matrix(
-            returns, 15, "combined", pairs=pairs, out=out, backend="batch"
-        )
+        got = batch_pair_series(returns, 15, "combined", pairs=pairs, out=out)
         assert got is out
-        for p, (i, j) in enumerate(pairs):
-            np.testing.assert_array_equal(
-                got[:, p], corr_series(returns[:, i], returns[:, j], 15, "combined")
-            )
+        np.testing.assert_array_equal(
+            got, per_pair_series(returns, 15, "combined", pairs=pairs)
+        )
+        np.testing.assert_array_equal(
+            got, reference_pair_series(returns, 15, "combined", pairs=pairs)
+        )
 
     def test_chunk_boundaries_cannot_change_results(self, monkeypatch):
         """Shrink both chunk budgets to force many tiny, pair-straddling
@@ -129,6 +131,14 @@ class TestPropertyBatchEqualsScalar:
         for c in CTYPES:
             np.testing.assert_array_equal(
                 batch_pair_series(returns, 16, c), expected[c]
+            )
+            # The one-pair job chunks differently again (its rows never
+            # straddle a pair); the oracle never chunks at all.
+            np.testing.assert_array_equal(
+                per_pair_series(returns, 16, c), expected[c]
+            )
+            np.testing.assert_array_equal(
+                reference_pair_series(returns, 16, c), expected[c]
             )
 
     def test_nan_padding_alignment_matches_scalar(self):
@@ -165,10 +175,10 @@ class TestMaronnaConvergenceMask:
         batch_loose = batch_pair_series(returns, m, "maronna", loose)
         # The cap genuinely bit somewhere on the outlier pair (column 0)...
         assert not np.array_equal(batch_capped[:, 0], batch_loose[:, 0])
-        # ...yet capped results still match scalar and per-window paths
-        # bitwise and stay valid correlations.
+        # ...yet capped results still match the per-pair and per-window
+        # paths bitwise and stay valid correlations.
         np.testing.assert_array_equal(
-            batch_capped, scalar_pair_series(returns, m, "maronna", capped)
+            batch_capped, per_pair_series(returns, m, "maronna", capped)
         )
         np.testing.assert_array_equal(
             batch_capped, reference_pair_series(returns, m, "maronna", capped)
@@ -207,6 +217,10 @@ class TestValidation:
             batch_pair_series(returns, 10, "pearson", pairs=[(0, 3)])
         with pytest.raises(ValueError, match="invalid pair"):
             batch_pair_series(returns, 10, "pearson", pairs=[(1, 1)])
+        # No pairs at all is valid — a rank that drew an empty block still
+        # gets a well-formed one, whatever the measure.
+        for ctype in CTYPES:
+            assert batch_pair_series(returns, 10, ctype, pairs=[]).shape == (21, 0)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match=r"\(T, n\)"):
@@ -218,26 +232,38 @@ class TestValidation:
                 np.zeros((30, 3)), 10, "pearson", out=np.zeros((2, 2))
             )
 
-    def test_sequential_batch_requires_sharing(self, small_market, small_grid):
-        provider = BarProvider(small_market, small_grid)
-        with pytest.raises(ValueError, match="share_correlation"):
-            SequentialBacktester(
-                provider, share_correlation=False, corr_backend="batch"
-            )
+    @pytest.mark.parametrize("ctype", CTYPES)
+    def test_rejects_non_finite(self, ctype):
+        """One NaN would read back as a whole series of 0.0 — refuse it,
+        naming the first offending cell."""
+        rng = np.random.default_rng(15)
+        for bad in (np.nan, np.inf):
+            returns = random_returns(rng, 40, 3)
+            returns[17, 2] = bad
+            returns[30, 1] = bad
+            with pytest.raises(ValueError, match=r"finite.*row 17, column 2"):
+                batch_pair_series(returns, 10, ctype)
+            with pytest.raises(ValueError, match=r"finite.*row 17, column 2"):
+                corr_matrix_series(returns, 10, ctype)
+            with pytest.raises(ValueError, match=r"finite.*row 17, column 1"):
+                corr_series(returns[:, 0], returns[:, 2], 10, ctype)
 
 
 class TestMatrixSeriesBackend:
     @pytest.mark.parametrize("ctype", ["maronna", "combined"])
     def test_batch_equals_scalar(self, correlated_returns, ctype):
         r = correlated_returns[:50, :4]
-        np.testing.assert_array_equal(
-            corr_matrix_series(r, 20, ctype, backend="batch"),
-            corr_matrix_series(r, 20, ctype, backend="scalar"),
-        )
+        got = corr_matrix_series(r, 20, ctype)
+        ref = reference_pair_series(r, 20, ctype)
+        for p, (i, j) in enumerate(all_pairs(4)):
+            np.testing.assert_array_equal(got[:, i, j], ref[:, p])
+            np.testing.assert_array_equal(got[:, j, i], ref[:, p])
+        assert (got[:, np.arange(4), np.arange(4)] == 1.0).all()
 
     def test_rejects_unknown_backend(self, correlated_returns):
-        with pytest.raises(ValueError, match="backend"):
-            corr_matrix_series(correlated_returns[:50], 20, backend="simd")
+        """The implementation selector is gone, not merely ignored."""
+        with pytest.raises(TypeError, match="backend"):
+            corr_matrix_series(correlated_returns[:50], 20, backend="batch")
 
 
 class TestParallelEngineBackend:
@@ -246,44 +272,52 @@ class TestParallelEngineBackend:
         self, correlated_returns, mpi_backend
     ):
         r = correlated_returns[:90]
-        pairs = [(0, 1), (2, 3), (1, 5), (0, 4), (3, 5)]
+        # Five pairs spread over three ranks, then two pairs — which
+        # leaves the last rank an empty block.
+        for pairs in (
+            [(0, 1), (2, 3), (1, 5), (0, 4), (3, 5)],
+            [(0, 1), (2, 3)],
+        ):
 
-        def prog(comm):
-            return ParallelCorrelationEngine("combined", backend="batch").pair_series(
-                comm, r, 25, pairs
-            )
-
-        results = mpi.run_spmd(prog, size=3, backend=mpi_backend)
-        for got in results:
-            assert set(got) == set(pairs)
-            for i, j in pairs:
-                np.testing.assert_array_equal(
-                    got[(i, j)], corr_series(r[:, i], r[:, j], 25, "combined")
+            def prog(comm):
+                return ParallelCorrelationEngine("combined").pair_series(
+                    comm, r, 25, pairs
                 )
 
+            results = mpi.run_spmd(prog, size=3, backend=mpi_backend)
+            for got in results:
+                assert set(got) == set(pairs)
+                for i, j in pairs:
+                    np.testing.assert_array_equal(
+                        got[(i, j)], corr_series(r[:, i], r[:, j], 25, "combined")
+                    )
+
     def test_matrix_series_batch_matches_serial(self, correlated_returns):
-        r = correlated_returns[:50, :4]
+        # Two symbols are one pair: the second rank's block is empty.
+        for n_symbols, mpi_backend in ((4, "thread"), (2, "thread"), (2, "process")):
+            r = correlated_returns[:50, :n_symbols]
 
-        def prog(comm):
-            return ParallelCorrelationEngine("maronna", backend="batch").matrix_series(
-                comm, r, 20
-            )
+            def prog(comm):
+                return ParallelCorrelationEngine("maronna").matrix_series(
+                    comm, r, 20
+                )
 
-        results = mpi.run_spmd(prog, size=2)
-        expected = corr_matrix_series(r, 20, "maronna")
-        np.testing.assert_array_equal(results[0], expected)
-        np.testing.assert_array_equal(results[1], expected)
+            results = mpi.run_spmd(prog, size=2, backend=mpi_backend)
+            expected = corr_matrix_series(r, 20, "maronna")
+            np.testing.assert_array_equal(results[0], expected)
+            np.testing.assert_array_equal(results[1], expected)
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelCorrelationEngine("pearson", backend="simd")
+        """The implementation selector is gone, not merely ignored."""
+        with pytest.raises(TypeError, match="backend"):
+            ParallelCorrelationEngine("pearson", backend="batch")
 
 
 class TestStoreFedBatchSession:
     def test_store_fed_batch_equals_in_memory_scalar(self, tmp_path):
-        """The full seam: a store-backed provider (zero-copy memmap reader)
-        feeding the batch backend must reproduce the in-memory scalar
-        engine's results exactly."""
+        """A store-backed provider (zero-copy memmap reader) feeding the
+        shared batch cache must reproduce the in-memory engine whose every
+        job recomputes its own per-pair series."""
         from repro.store import StoreQuoteSource, StoreReader, ingest_synthetic
 
         cfg = SyntheticMarketConfig(trading_seconds=3600, quote_rate=0.8)
@@ -298,13 +332,9 @@ class TestStoreFedBatchSession:
 
         source = StoreQuoteSource(StoreReader(tmp_path))
         store_fed = SequentialBacktester(
-            BarProvider(source, grid_t),
-            share_correlation=True,
-            corr_backend="batch",
+            BarProvider(source, grid_t), share_correlation=True
         ).run(pairs, grid, days)
         in_memory = SequentialBacktester(
-            BarProvider(market, grid_t),
-            share_correlation=True,
-            corr_backend="scalar",
+            BarProvider(market, grid_t), share_correlation=False
         ).run(pairs, grid, days)
         assert store_fed == in_memory

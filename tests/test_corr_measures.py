@@ -1,17 +1,13 @@
-"""Tests for measure dispatch, series and matrices (repro.corr.measures)."""
+"""Tests for measure dispatch (repro.corr.measures) and the series and
+matrix-series shapes built on the batch kernels (repro.corr.batch)."""
 
 import numpy as np
 import pytest
 
+from repro.corr.batch import corr_matrix_series, corr_series
 from repro.corr.combined import combined_corr, combined_corr_batched
 from repro.corr.maronna import maronna_corr
-from repro.corr.measures import (
-    CorrelationType,
-    corr_matrix,
-    corr_matrix_series,
-    corr_series,
-    pairwise_corr,
-)
+from repro.corr.measures import CorrelationType, corr_matrix, pairwise_corr
 from repro.corr.pearson import pearson_corr, pearson_matrix
 
 
@@ -80,11 +76,11 @@ class TestCorrSeries:
             assert series[k] == pytest.approx(direct, abs=1e-7)
 
     def test_chunking_boundary_consistency(self, rng, monkeypatch):
-        import repro.corr.measures as measures
+        import repro.corr.batch as batch_mod
 
         x, y = rng.normal(size=(2, 100))
         full = corr_series(x, y, 20, "maronna")
-        monkeypatch.setattr(measures, "_CHUNK_ELEMENTS", 200)  # force chunks
+        monkeypatch.setattr(batch_mod, "_ROBUST_CHUNK_ELEMENTS", 200)  # force chunks
         chunked = corr_series(x, y, 20, "maronna")
         np.testing.assert_allclose(full, chunked, atol=1e-12)
 

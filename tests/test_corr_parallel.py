@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import mpi
-from repro.corr.measures import corr_matrix, corr_matrix_series, corr_series
+from repro.corr.batch import corr_matrix_series, corr_series
+from repro.corr.measures import corr_matrix
 from repro.corr.parallel import ParallelCorrelationEngine, partition_pairs
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.corr.measures import corr_series
+from repro.corr.batch import corr_series
 from repro.strategy.engine import (
     PairStrategy,
     Trade,

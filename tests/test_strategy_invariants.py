@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.corr.measures import corr_series
+from repro.corr.batch import corr_series
 from repro.strategy.engine import TradeReason, align_corr_series, run_pair_day
 from repro.strategy.params import StrategyParams
 
