@@ -120,24 +120,14 @@ def run_resize() -> dict:
     """Toy supervised session: resized 2->4->3 vs fixed-size 3, bitwise."""
     from repro.elastic import ResizePlan, ResizeRequest
     from repro.faults import run_supervised_session, session_results_equal
-    from repro.marketminer.session import build_figure1_workflow
+    from repro.marketminer.session import build_synthetic_figure1
     from repro.strategy.params import StrategyParams
-    from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
-    from repro.taq.universe import default_universe
-    from repro.util.timeutil import TimeGrid
 
-    seconds = 23_400 // 16
     params = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=4, d=0.002)
 
     def build():
-        market = SyntheticMarket(
-            default_universe(4),
-            SyntheticMarketConfig(trading_seconds=seconds, quote_rate=0.9),
-            seed=33,
-        )
-        return build_figure1_workflow(
-            market, TimeGrid(30, trading_seconds=seconds),
-            [(0, 1), (2, 3)], [params],
+        return build_synthetic_figure1(
+            4, 23_400 // 16, 33, params, pairs=[(0, 1), (2, 3)]
         )
 
     options = {"default_timeout": 10.0}

@@ -9,6 +9,19 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH=src
 
+# run_and_match PATTERN CMD...: run CMD, show its output, and fail unless
+# it exits 0 *and* printed a line matching PATTERN (the vacuity check).
+run_and_match() {
+    local pattern=$1 out
+    shift
+    out=$("$@") || { echo "$out"; return 1; }
+    echo "$out"
+    grep -q -- "$pattern" <<<"$out" || {
+        echo "vacuous: no output line matches '$pattern'" >&2
+        return 1
+    }
+}
+
 echo "== compileall =="
 python -m compileall -q src
 
@@ -99,29 +112,16 @@ overhead since the enabled run does strictly more work.
 """
 import time
 
-from repro.marketminer.session import build_figure1_workflow, run_figure1_session
+from repro.marketminer.session import build_synthetic_figure1, run_figure1_session
 from repro.strategy.params import StrategyParams
-from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
-from repro.taq.universe import default_universe
-from repro.util.timeutil import TimeGrid
 
 SECONDS = 3000
 N_RUNS = 3
 
 
 def workflow():
-    market = SyntheticMarket(
-        default_universe(4),
-        SyntheticMarketConfig(trading_seconds=SECONDS, quote_rate=0.9),
-        seed=7,
-    )
     params = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=5, d=0.001)
-    return build_figure1_workflow(
-        market,
-        TimeGrid(30, trading_seconds=SECONDS),
-        list(market.universe.pairs()),
-        [params],
-    )
+    return build_synthetic_figure1(4, SECONDS, 7, params)
 
 
 def best_of(obs_enabled):
@@ -157,31 +157,18 @@ min(sampled) < 1.05 * min(bare).
 """
 import time
 
-from repro.marketminer.session import build_figure1_workflow, run_figure1_session
+from repro.marketminer.session import build_synthetic_figure1, run_figure1_session
 from repro.obs.live import TelemetryHub
 from repro.obs.live.sampler import DEFAULT_INTERVAL
 from repro.strategy.params import StrategyParams
-from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
-from repro.taq.universe import default_universe
-from repro.util.timeutil import TimeGrid
 
 SECONDS = 3000
 N_RUNS = 3
 
 
 def workflow():
-    market = SyntheticMarket(
-        default_universe(4),
-        SyntheticMarketConfig(trading_seconds=SECONDS, quote_rate=0.9),
-        seed=7,
-    )
     params = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=5, d=0.001)
-    return build_figure1_workflow(
-        market,
-        TimeGrid(30, trading_seconds=SECONDS),
-        list(market.universe.pairs()),
-        [params],
-    )
+    return build_synthetic_figure1(4, SECONDS, 7, params)
 
 
 def best_of(sampled):
@@ -270,131 +257,18 @@ assert ratio < 1.10, (
 print("ok: detached comm tracer pays no measurable overhead")
 EOF
 
-echo "== chaos recovery smoke check =="
-python - <<'EOF'
-"""Assert the self-healing runtime's headline invariant on a live run.
-
-Runs one Figure-1 session clean and once under the ``crash-mid`` fault
-plan (a rank killed mid-epoch) with checkpoint/restart supervision: the
-crash must actually fire (restarts >= 1) and the recovered session must
-be bitwise-identical to the fault-free one.
-"""
-from repro.faults import (
-    named_plan,
-    run_supervised_session,
-    session_results_equal,
-)
-from repro.marketminer.session import build_figure1_workflow
-from repro.strategy.params import StrategyParams
-from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
-from repro.taq.universe import default_universe
-from repro.util.timeutil import TimeGrid
-
-SECONDS = 23_400 // 16
-
-
-def build():
-    market = SyntheticMarket(
-        default_universe(4),
-        SyntheticMarketConfig(trading_seconds=SECONDS, quote_rate=0.9),
-        seed=33,
-    )
-    params = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=4, d=0.002)
-    return build_figure1_workflow(
-        market,
-        TimeGrid(30, trading_seconds=SECONDS),
-        [(0, 1), (2, 3)],
-        [params],
-    )
-
-
-options = {"default_timeout": 2.0}
-clean = run_supervised_session(build, size=3, backend_options=options)
-chaos = run_supervised_session(
-    build, size=3, plan=named_plan("crash-mid"), checkpoint_every=20,
-    backend_options=options,
-)
-assert chaos.restarts >= 1, "crash-mid plan never fired: smoke is vacuous"
-assert session_results_equal(clean.results, chaos.results), (
-    "recovered session diverged from the fault-free run"
-)
-print(f"ok: crash-mid recovered bitwise-identical "
-      f"({chaos.restarts} restart(s), {chaos.checkpoints} checkpoint(s))")
-EOF
+echo "== chaos recovery smoke check (crash-mid, bitwise) =="
+# The exit status is the bitwise verdict (recovered == fault-free); the
+# matched line keeps the stage from passing with a plan that never fired.
+run_and_match '^  restart epoch ' timeout 30 \
+    python -m repro.cli chaos --plan crash-mid \
+    --symbols 4 --seconds 2400 --seed 33 --timeout 2
 
 echo "== elastic resize smoke check (grow 2->4, shrink 4->2, bitwise) =="
-python - <<'EOF'
-"""Assert the elastic runtime's headline invariant on a live run.
-
-Runs one Figure-1 session at a fixed pool size and once under a resize
-plan that grows 2 -> 4 then shrinks 4 -> 2 at epoch boundaries: the
-resizes must actually apply, and the rescaled session must be
-bitwise-identical to the fixed-size one (results and folded domain
-counters; transport counters scale with the pool by design).
-"""
-import time
-
-from repro.elastic import ResizePlan, ResizeRequest
-from repro.faults import (
-    fold_obs_counters,
-    run_supervised_session,
-    session_results_equal,
-)
-from repro.marketminer.session import build_figure1_workflow
-from repro.strategy.params import StrategyParams
-from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
-from repro.taq.universe import default_universe
-from repro.util.timeutil import TimeGrid
-
-SECONDS = 23_400 // 16
-
-
-def build():
-    market = SyntheticMarket(
-        default_universe(4),
-        SyntheticMarketConfig(trading_seconds=SECONDS, quote_rate=0.9),
-        seed=33,
-    )
-    params = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=4, d=0.002)
-    return build_figure1_workflow(
-        market,
-        TimeGrid(30, trading_seconds=SECONDS),
-        [(0, 1), (2, 3)],
-        [params],
-    )
-
-
-t0 = time.perf_counter()
-options = {"default_timeout": 2.0}
-fixed = run_supervised_session(
-    build, size=2, checkpoint_every=20,
-    obs_enabled=True, backend_options=options,
-)
-elastic = run_supervised_session(
-    build, size=2, checkpoint_every=20,
-    resize=ResizePlan((ResizeRequest(1, 4), ResizeRequest(2, 2))),
-    obs_enabled=True, backend_options=options,
-)
-elapsed = time.perf_counter() - t0
-assert elastic.pool_sizes == (2, 4, 2), (
-    f"resize plan never applied: pool sizes {elastic.pool_sizes}"
-)
-assert session_results_equal(fixed.results, elastic.results), (
-    "rescaled session diverged from the fixed-size run"
-)
-exclude = ("mpi.",)
-assert fold_obs_counters(
-    fixed.obs_reports, exclude_prefixes=exclude
-) == fold_obs_counters(elastic.obs_reports, exclude_prefixes=exclude), (
-    "rescaled session's folded domain counters diverged"
-)
-assert elapsed < 10.0, (
-    f"elastic smoke took {elapsed:.1f}s >= 10s budget: the stage must "
-    f"stay cheap enough to run on every check"
-)
-print(f"ok: session resized 2->4->2 bitwise-identical to fixed size "
-      f"({len(elastic.resizes)} resize(s), {elapsed:.1f}s)")
-EOF
+# Exit status: rescaled == fixed-size, results and folded domain counters.
+run_and_match '^elastic session: pool 2->4->2,' timeout 10 \
+    python -m repro.cli elastic --resize 1:4 --resize 2:2 --compare-fixed 2 \
+    --symbols 4 --seconds 1462 --seed 33 --timeout 2
 
 echo "== work-stealing makespan smoke check =="
 python -m benchmarks.bench_elastic --smoke

@@ -52,14 +52,6 @@ docstring                      ``repro/backtest/``, or a public class /
                                function / method there, has no docstring —
                                these packages carry the batch/oracle
                                equivalence contract, which lives in prose
-repo.topology-epoch  error     code under ``repro/elastic/`` other than
-                               ``world.py`` imports or calls a
-                               world-construction primitive (``run_spmd``,
-                               backend/comm classes) directly — the elastic
-                               runtime may only build, size or launch comm
-                               worlds through its epoch-boundary seam, so
-                               every rebuild shares one code path and the
-                               resize bitwise invariant cannot fork
 ===================  ========  =================================================
 
 Suppression: append ``# repro-lint: disable=<rule>[,<rule>...]`` (or
@@ -596,77 +588,6 @@ def _check_serve_bounded(tree: ast.AST, path: str) -> Iterator[_Finding]:
                     )
 
 
-#: World-construction primitives the elastic runtime may only reach via
-#: its ``world.py`` seam.  The resize protocol's bitwise invariant rests
-#: on every epoch being launched the same way; a second code path that
-#: builds communicators or backends directly would fork that guarantee.
-_WORLD_PRIMITIVES = frozenset(
-    {"run_spmd", "ThreadBackend", "ProcessBackend", "MailboxComm"}
-)
-_WORLD_MODULES = (
-    "repro.mpi.launcher",
-    "repro.mpi.inproc",
-    "repro.mpi.procs",
-    "repro.mpi.mailbox",
-)
-
-
-def _check_topology_epoch(tree: ast.Module, path: str) -> Iterator[_Finding]:
-    """``repro/elastic/`` touches the comm world only through ``world.py``."""
-    norm = path.replace("\\", "/")
-    if "repro/elastic/" not in norm or norm.endswith("/world.py"):
-        return
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module in _WORLD_MODULES:
-                yield _Finding(
-                    "repo.topology-epoch", Severity.ERROR, node.lineno,
-                    f"elastic code imports world-construction module "
-                    f"{module!r} directly",
-                    hint="go through repro.elastic.world (run_epoch / "
-                    "world_capacity / check_pool_size) — the epoch seam is "
-                    "the only place worlds may be built or sized",
-                )
-            else:
-                for alias in node.names:
-                    if alias.name in _WORLD_PRIMITIVES:
-                        yield _Finding(
-                            "repo.topology-epoch", Severity.ERROR,
-                            node.lineno,
-                            f"elastic code imports world primitive "
-                            f"{alias.name!r} directly",
-                            hint="go through repro.elastic.world — the "
-                            "epoch seam is the only place worlds may be "
-                            "built or sized",
-                        )
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in _WORLD_MODULES:
-                    yield _Finding(
-                        "repo.topology-epoch", Severity.ERROR, node.lineno,
-                        f"elastic code imports world-construction module "
-                        f"{alias.name!r} directly",
-                        hint="go through repro.elastic.world — the epoch "
-                        "seam is the only place worlds may be built or "
-                        "sized",
-                    )
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name in _WORLD_PRIMITIVES:
-                yield _Finding(
-                    "repo.topology-epoch", Severity.ERROR, node.lineno,
-                    f"elastic code calls world primitive {name}() directly",
-                    hint="launch epochs via repro.elastic.world.run_epoch "
-                    "so every rebuild shares one code path",
-                )
-
-
 #: Packages whose public API must be documented: the correlation and
 #: backtest layers carry the batch/oracle bitwise-equivalence contract,
 #: and that contract is stated in docstrings (see docs/performance.md).
@@ -737,7 +658,6 @@ def lint_source(text: str, path: str) -> list[Diagnostic]:
     findings.extend(_check_obs_bounded(tree, path))
     findings.extend(_check_serve_bounded(tree, path))
     findings.extend(_check_public_docstring(tree, path))
-    findings.extend(_check_topology_epoch(tree, path))
 
     return findings_to_diagnostics(findings, path, suppressed)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Sequence
 
 
@@ -160,24 +161,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _chaos_figure1(args: argparse.Namespace, plan) -> int:
     from repro.faults import run_supervised_session, session_results_equal
-    from repro.marketminer.session import build_figure1_workflow
-    from repro.strategy.params import StrategyParams
-    from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
-    from repro.taq.universe import default_universe
-    from repro.util.timeutil import TimeGrid
 
-    market = SyntheticMarket(
-        default_universe(args.symbols),
-        SyntheticMarketConfig(trading_seconds=args.seconds, quote_rate=0.9),
-        seed=args.seed,
-    )
-    grid_time = TimeGrid(30, trading_seconds=args.seconds)
-    params = StrategyParams(m=60, w=30, y=8, rt=30, hp=20, st=10, d=0.001)
-    pairs = list(market.universe.pairs())
-
-    def build():
-        return build_figure1_workflow(market, grid_time, pairs, [params])
-
+    build = partial(_build_figure1_from_args, args)
     options = {"default_timeout": args.timeout}
     clean = run_supervised_session(
         build, size=args.ranks, backend=args.backend,
@@ -330,11 +315,8 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
         run_supervised_session,
         session_results_equal,
     )
-    from repro.marketminer.session import build_figure1_workflow
+    from repro.marketminer.session import build_synthetic_figure1
     from repro.strategy.params import StrategyParams
-    from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
-    from repro.taq.universe import default_universe
-    from repro.util.timeutil import TimeGrid
 
     try:
         resizes = _parse_resize_specs(args.resize)
@@ -346,22 +328,9 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     # Short-session parameters (the chaos/top builder's Table-I values
     # need a near-full trading day before any signal fires).
     params = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=4, d=0.002)
-
-    def build():
-        market = SyntheticMarket(
-            default_universe(args.symbols),
-            SyntheticMarketConfig(
-                trading_seconds=args.seconds, quote_rate=0.9
-            ),
-            seed=args.seed,
-        )
-        return build_figure1_workflow(
-            market,
-            TimeGrid(30, trading_seconds=args.seconds),
-            list(market.universe.pairs()),
-            [params],
-        )
-
+    build = partial(
+        build_synthetic_figure1, args.symbols, args.seconds, args.seed, params
+    )
     options = {"default_timeout": args.timeout}
     run = run_supervised_session(
         build, size=args.ranks, backend=args.backend, resize=plan,
@@ -396,24 +365,12 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
 
 
 def _build_figure1_from_args(args: argparse.Namespace):
-    from repro.marketminer.session import build_figure1_workflow
+    from repro.marketminer.session import build_synthetic_figure1
     from repro.strategy.params import StrategyParams
-    from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
-    from repro.taq.universe import default_universe
-    from repro.util.timeutil import TimeGrid
 
-    market = SyntheticMarket(
-        default_universe(args.symbols),
-        SyntheticMarketConfig(trading_seconds=args.seconds, quote_rate=0.9),
-        seed=args.seed,
-    )
-    grid_time = TimeGrid(30, trading_seconds=args.seconds)
-    params = StrategyParams(m=60, w=30, y=8, rt=30, hp=20, st=10, d=0.001)
-    return build_figure1_workflow(
-        market,
-        grid_time,
-        list(market.universe.pairs()),
-        [params],
+    return build_synthetic_figure1(
+        args.symbols, args.seconds, args.seed,
+        StrategyParams(m=60, w=30, y=8, rt=30, hp=20, st=10, d=0.001),
         n_corr_engines=getattr(args, "engines", 1),
     )
 

@@ -5,7 +5,10 @@ technical analysis → correlation engine → pair trading strategy → order
 sink, matching the paper's architecture figure; ``run_figure1_session``
 executes it SPMD over the MPI substrate and returns every component's
 results (bars emitted, matrices produced, trades, baskets, cleaning
-counts) on every rank.
+counts) on every rank.  ``build_synthetic_figure1`` is the small seeded
+session the CLI, serving layer and smoke checks run; ``SessionControl``
+is the pause/kill/resize handle the supervised epoch loop
+(:func:`repro.faults.run_supervised_session`) polls at every boundary.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from repro.marketminer.scheduler import WorkflowRunner
 from repro.mpi.launcher import run_spmd
 from repro.strategy.params import StrategyParams
 from repro.strategy.portfolio import RiskLimits
-from repro.taq.synthetic import SyntheticMarket
+from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
+from repro.taq.universe import default_universe
 from repro.util.timeutil import TimeGrid
 
 
@@ -125,6 +129,36 @@ def build_figure1_workflow(
     wf.connect("pair_trading", "trades", "order_sink", "trades")
     wf.validate()
     return wf
+
+
+def build_synthetic_figure1(
+    symbols: int,
+    seconds: int,
+    seed: int,
+    params: StrategyParams,
+    pairs: list[tuple[int, int]] | None = None,
+    n_corr_engines: int = 1,
+) -> Workflow:
+    """The small seeded session the CLI, serving layer and smokes run.
+
+    A fresh :class:`SyntheticMarket` over the first ``symbols`` default
+    tickers, a 30-second bar grid and one parameter set through
+    :func:`build_figure1_workflow`; ``pairs`` defaults to all of them.
+    A pure function of its arguments, so it serves as the per-attempt
+    ``build`` factory of :func:`repro.faults.run_supervised_session`.
+    """
+    market = SyntheticMarket(
+        default_universe(symbols),
+        SyntheticMarketConfig(trading_seconds=seconds, quote_rate=0.9),
+        seed=seed,
+    )
+    return build_figure1_workflow(
+        market,
+        TimeGrid(30, trading_seconds=seconds),
+        list(market.universe.pairs()) if pairs is None else pairs,
+        [params],
+        n_corr_engines=n_corr_engines,
+    )
 
 
 def build_multi_spec_workflow(
@@ -244,7 +278,7 @@ class SessionControl:
 
     Elasticity rides the same seam: :meth:`request_resize` queues a
     target pool size (latest request wins — a single pending slot, not a
-    queue) which the elastic supervisor consumes at its next rebuild via
+    queue) which the supervisor consumes at its next rebuild via
     :meth:`take_resize`; a request landing mid-epoch is therefore
     *deferred to the boundary*, never applied in place.  The supervisor
     reports back through :meth:`resize_applied` and

@@ -28,8 +28,8 @@ def available_backends() -> tuple[str, ...]:
 def backend_capacity(backend: str) -> int:
     """Largest world size ``backend`` will launch (its ``max_world_size``).
 
-    The elastic runtime validates grow requests against this before
-    tearing anything down, so an over-capacity resize is a pointed
+    :func:`check_pool_size` validates grow requests against this before
+    anything is torn down, so an over-capacity resize is a pointed
     ``ValueError`` at the boundary, not a half-built world.
     """
     try:
@@ -39,6 +39,25 @@ def backend_capacity(backend: str) -> int:
             f"unknown backend {backend!r}; choose from {available_backends()}"
         ) from None
     return backend_cls.max_world_size
+
+
+def check_pool_size(size: int, backend: str) -> None:
+    """Validate a requested pool size with pointed errors.
+
+    Shrinking below one rank or growing past the backend's capacity is
+    rejected here, before any teardown, so an illegal resize never costs
+    the session its current world.
+    """
+    cap = backend_capacity(backend)
+    if size < 1:
+        raise ValueError(
+            f"cannot shrink the rank pool below 1 (requested size={size})"
+        )
+    if size > cap:
+        raise ValueError(
+            f"cannot grow the rank pool to {size}: the {backend!r} backend "
+            f"launches at most {cap} ranks"
+        )
 
 
 def run_spmd(

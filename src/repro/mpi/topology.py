@@ -104,7 +104,7 @@ def placement_moves(
     """Components whose host rank changes between two placements.
 
     Returns deterministic ``(component, old_rank, new_rank)`` triples,
-    sorted by component name — the elastic supervisor logs these when a
+    sorted by component name — the supervisor logs these when a
     pool resize re-contracts the workflow DAG, so an operator can see
     exactly which components migrated at each boundary.  Both maps must
     cover the same component set (they come from the same workflow).

@@ -106,9 +106,10 @@ class ResizePending(ServeError):
     """A resize is already queued and not yet applied (409).
 
     The control handle holds a single pending-resize slot consumed at
-    the next epoch boundary; a second resize before that boundary would
-    silently overwrite the first, so the API rejects it instead —
-    retry after the boundary applies the pending one.
+    the next epoch boundary; a second resize before that boundary —
+    while the first is still in the command queue or already in that
+    slot — would silently overwrite it, so the API rejects it instead.
+    Retry after the boundary applies the pending one.
     """
 
     status = 409
@@ -262,6 +263,8 @@ class Session:
 
             self.hub = TelemetryHub(capacity=240)
         self._days_done = 0
+        #: Target of a resize accepted but still in the command queue.
+        self._queued_resize: int | None = None
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None
 
@@ -296,11 +299,25 @@ class Session:
 
         ``arg`` carries the command's operand — today only ``resize``
         has one (the target pool size, already validated by the
-        manager).
+        manager); a second one while the first is still outstanding,
+        queued here or at the control handle, is :class:`ResizePending`.
         """
+        if op == "resize":
+            with self._lock:
+                pending = self._pending_resize()
+                if pending is not None:
+                    raise ResizePending(
+                        f"session {self.id!r} already has a resize to "
+                        f"{pending} pending; wait for the next epoch "
+                        f"boundary to apply it"
+                    )
+                self._queued_resize = arg
         try:
             self.commands.put_nowait((op, actor, arg))
         except queue.Full:
+            if op == "resize":
+                with self._lock:
+                    self._queued_resize = None
             self.record_audit(actor, op, detail="rejected: command queue full")
             raise CommandBacklog(
                 f"session {self.id!r} has {self.commands.maxsize} commands "
@@ -308,6 +325,12 @@ class Session:
             ) from None
         detail = "queued" if arg is None else f"queued target={arg}"
         self.record_audit(actor, op, detail=detail)
+
+    def _pending_resize(self) -> int | None:
+        """Outstanding resize target, queued or at the control handle."""
+        if self._queued_resize is not None:
+            return self._queued_resize
+        return self.control.pending_resize
 
     def _on_gate(self, control: SessionControl) -> None:
         """Drain queued commands at a control gate; sync visible state."""
@@ -325,7 +348,11 @@ class Session:
             elif op == "resize":
                 # Records intent only; the supervisor consumes it at the
                 # next epoch boundary and reports back via _on_resize.
+                # Hand over before releasing the queued slot so the
+                # resize is never invisible to submit_command.
                 control.request_resize(arg)
+                with self._lock:
+                    self._queued_resize = None
             detail = "applied" if arg is None else f"applied target={arg}"
             self.record_audit(actor, op, detail=detail)
         with self._lock:
@@ -420,26 +447,13 @@ class Session:
 
     def _build_workflow(self):
         """Fresh Figure-1 workflow per supervisor attempt (build seam)."""
-        from repro.marketminer.session import build_figure1_workflow
+        from repro.marketminer.session import build_synthetic_figure1
         from repro.strategy.params import StrategyParams
-        from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
-        from repro.taq.universe import default_universe
-        from repro.util.timeutil import TimeGrid
 
         spec = self.spec
-        market = SyntheticMarket(
-            default_universe(spec["symbols"]),
-            SyntheticMarketConfig(
-                trading_seconds=spec["seconds"], quote_rate=0.9
-            ),
-            seed=spec["seed"],
-        )
-        params = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=5, d=0.001)
-        return build_figure1_workflow(
-            market,
-            TimeGrid(30, trading_seconds=spec["seconds"]),
-            list(market.universe.pairs()),
-            [params],
+        return build_synthetic_figure1(
+            spec["symbols"], spec["seconds"], spec["seed"],
+            StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=5, d=0.001),
         )
 
     def _run_backtest(self) -> dict:
@@ -526,7 +540,7 @@ class Session:
                         if self.control.pool_size is not None
                         else self.spec.get("ranks")
                     ),
-                    "pending_resize": self.control.pending_resize,
+                    "pending_resize": self._pending_resize(),
                     "restarts": self.control.n_restarts,
                     "resizes": self.control.resize_history(),
                 },
@@ -750,9 +764,9 @@ class SessionManager:
         rejection ladder: kind must be ``figure1`` (409
         :class:`CommandUnsupported` — backtest jobs have no rank pool),
         target must be an int in ``1..RESIZE_MAX`` (400), and at most
-        one resize may be pending at a time (409 :class:`ResizePending`
-        — a second request before the epoch boundary would silently
-        clobber the first).
+        one resize may be outstanding at a time (409
+        :class:`ResizePending` — a second request before the epoch
+        boundary would silently clobber the first).
         """
         if op not in COMMANDS:
             raise BadRequest(
@@ -779,12 +793,6 @@ class SessionManager:
             if not 1 <= target <= RESIZE_MAX:
                 raise BadRequest(
                     f"resize target must be in 1..{RESIZE_MAX}, got {target}"
-                )
-            if session.control.pending_resize is not None:
-                raise ResizePending(
-                    f"session {session_id!r} already has a resize to "
-                    f"{session.control.pending_resize} pending; wait for "
-                    f"the next epoch boundary to apply it"
                 )
             arg = target
         elif target is not None:

@@ -695,41 +695,3 @@ class TestServeBounded:
             """,
             path=self.SERVE,
         ) == []
-
-
-class TestTopologyEpoch:
-    """`repo.topology-epoch`: only elastic/world.py touches comm worlds."""
-
-    ROGUE = """
-        from repro.mpi.launcher import run_spmd, ThreadBackend
-
-        def sneak(spmd):
-            return run_spmd(spmd, 4, ThreadBackend())
-        """
-
-    def test_world_import_fires_in_elastic(self):
-        diags = lint(self.ROGUE, path="src/repro/elastic/rogue.py")
-        assert "repo.topology-epoch" in rules(diags)
-        # Two imported primitives, one backend construction, one call.
-        assert rules(diags).count("repo.topology-epoch") >= 3
-
-    def test_module_import_fires(self):
-        diags = lint(
-            "import repro.mpi.procs\n",
-            path="src/repro/elastic/rogue.py",
-        )
-        assert rules(diags) == ["repo.topology-epoch"]
-
-    def test_world_py_is_exempt(self):
-        assert lint(self.ROGUE, path="src/repro/elastic/world.py") == []
-
-    def test_silent_outside_elastic(self):
-        assert lint(self.ROGUE, path="src/repro/faults/helper.py") == []
-
-    def test_suppression_comment_works(self):
-        diags = lint(
-            "import repro.mpi.inproc  "
-            "# repro-lint: disable=repo.topology-epoch\n",
-            path="src/repro/elastic/rogue.py",
-        )
-        assert diags == []

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -202,6 +204,13 @@ class TestChaos:
              "--flight-dump", str(dump), "--timeout", "10"]
         ) == 0
         out = capsys.readouterr().out
+        # scripts/check.sh's chaos stage greps "^  restart epoch " as its
+        # vacuity check and takes the verdict from the exit status.
+        assert re.search(
+            r"^  restart epoch \d+ attempt \d+: .*InjectedCrash", out, re.M
+        )
+        assert re.search(r"^  1 restart\(s\), ", out, re.M)
+        assert "recovered results identical to fault-free run: True" in out
         assert "flight dump(s)" in out
         files = sorted(dump.glob("rank*-attempt*.jsonl"))
         assert files, "chaos --flight-dump produced no dumps"
@@ -217,6 +226,35 @@ class TestChaos:
              "--flight-dump", "somewhere"]
         ) == 2
         assert "figure1" in capsys.readouterr().err
+
+
+class TestElastic:
+    # The session scripts/check.sh's elastic stage runs.
+    SMOKE = ["--symbols", "4", "--seconds", "1462", "--seed", "33",
+             "--timeout", "10"]
+
+    def test_resize_plan_compared_to_fixed_size(self, capsys):
+        assert main(
+            ["elastic", *self.SMOKE, "--resize", "1:4", "--resize", "2:2",
+             "--compare-fixed", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        # check.sh greps "^elastic session: pool 2->4->2," as its
+        # vacuity check and takes the verdict from the exit status.
+        assert re.search(
+            r"^elastic session: pool 2->4->2, 2 resize\(s\) applied, ",
+            out, re.M,
+        )
+        assert "  epoch 1: 2 -> 4 ranks" in out
+        assert "  epoch 2: 4 -> 2 ranks" in out
+        assert (
+            "bitwise vs fixed size 2: results=True domain_counters=True"
+            in out
+        )
+
+    def test_bad_resize_spec_is_exit_2(self, capsys):
+        assert main(["elastic", *self.SMOKE, "--resize", "four"]) == 2
+        assert "expected EPOCH:SIZE" in capsys.readouterr().err
 
 
 class TestTop:

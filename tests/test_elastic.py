@@ -23,9 +23,7 @@ from repro.elastic import (
     ResizeRequest,
     shard_pairs,
     stable_shard,
-    world_capacity,
 )
-from repro.elastic.world import check_pool_size
 from repro.faults import (
     ChaosUnrecoverable,
     DegradePolicy,
@@ -40,7 +38,7 @@ from repro.marketminer.session import (
     build_figure1_workflow,
     run_figure1_session,
 )
-from repro.mpi.launcher import run_spmd
+from repro.mpi.launcher import backend_capacity, check_pool_size, run_spmd
 from repro.strategy.params import StrategyParams
 from repro.taq.synthetic import (
     SyntheticMarket,
@@ -323,14 +321,14 @@ class TestCapacityErrors:
             check_pool_size(0, "thread")
 
     def test_grow_above_thread_capacity_names_backend_and_cap(self):
-        cap = world_capacity("thread")
+        cap = backend_capacity("thread")
         with pytest.raises(ValueError) as err:
             check_pool_size(cap + 1, "thread")
         assert "thread" in str(err.value)
         assert str(cap) in str(err.value)
 
     def test_plan_beyond_capacity_rejected_before_first_epoch(self):
-        cap = world_capacity("thread")
+        cap = backend_capacity("thread")
         with pytest.raises(ValueError, match=str(cap)):
             run_supervised_session(
                 build, size=2, checkpoint_every=20,
@@ -346,9 +344,11 @@ class TestCapacityErrors:
                 backend_options=OPTIONS,
             )
 
-    def test_world_capacity_unknown_backend(self):
+    def test_backend_capacity_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown"):
-            world_capacity("slurm")
+            backend_capacity("slurm")
+        with pytest.raises(ValueError, match="unknown backend 'slurm'"):
+            check_pool_size(2, "slurm")
 
 
 class TestCrashAsShrink:

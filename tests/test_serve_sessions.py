@@ -327,7 +327,7 @@ class TestResize:
 
     A resize queues at the manager, lands at the next ``on_gate`` epoch
     boundary as a :class:`SessionControl` request, and is applied by the
-    elastic supervisor — the ``resize-applied`` audit entry plus the
+    supervisor's epoch loop — the ``resize-applied`` audit entry plus the
     ``pool`` status block are the tenant-visible proof.
     """
 
@@ -377,6 +377,35 @@ class TestResize:
             manager.command("rzp", "resize", "alice", target=3)
         manager.command("rzp", "kill", "alice")
         wait_terminal(manager, "rzp", timeout=10.0)
+
+    def test_second_resize_while_first_is_still_queued_is_409(self, manager):
+        """Two ``resize`` commands through the manager: the first may
+        still sit in the command queue (not yet drained into the control
+        handle), and the second must not clobber it."""
+        from repro.serve import ResizePending
+
+        manager.submit("rzq", "figure1", SLOW_SPEC, "alice")
+        # Park the session so no epoch boundary can consume the first
+        # resize between the two commands.
+        manager.command("rzq", "pause", "alice")
+        assert wait_for(
+            lambda: manager.get("rzq").status()["state"] == "paused"
+        )
+        status = manager.command("rzq", "resize", "alice", target=4)
+        assert status["pool"]["pending_resize"] == 4
+        with pytest.raises(ResizePending, match="resize to 4 pending"):
+            manager.command("rzq", "resize", "alice", target=3)
+        manager.command("rzq", "resume", "alice")
+        assert wait_for(
+            lambda: manager.get("rzq").status()["pool"]["resizes"]
+        ), manager.get("rzq").status()
+        status = manager.get("rzq").status()
+        assert [r[1:] for r in status["pool"]["resizes"]] == [(2, 4)]
+        assert status["pool"]["pending_resize"] is None
+        # The slot is free again once the boundary applied the first.
+        manager.command("rzq", "resize", "alice", target=3)
+        manager.command("rzq", "kill", "alice")
+        wait_terminal(manager, "rzq", timeout=10.0)
 
     def test_resize_on_dead_session_is_409(self, manager):
         manager.submit("rzd", "figure1", FIG1_SPEC, "alice")
