@@ -30,6 +30,12 @@ from repro.backtest.runner import (
     backtest_pair_day,
 )
 from repro.obs import MetricsRegistry, Obs, attach_to_comm
+from repro.obs.live.profiler import (
+    SamplingProfiler,
+    attributed_fraction,
+    render_flame_table,
+    span_totals,
+)
 from repro.sge.scheduler import SgeScheduler
 from repro.strategy.params import StrategyParams, paper_parameter_grid
 from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
@@ -133,9 +139,10 @@ def test_section4_approach_comparison(benchmark):
     job_hists = {}
 
     obs_a2 = Obs(enabled=True)
-    store_a2 = SequentialBacktester(provider, obs=obs_a2, profile=True).run(
-        pairs, grid, days
-    )
+    with SamplingProfiler(obs_a2):
+        store_a2 = SequentialBacktester(provider, obs=obs_a2).run(
+            pairs, grid, days
+        )
     timings["approach2_sequential"] = root_wall(obs_a2, "approach2")
     job_hists["approach2_sequential"] = obs_a2.metrics.histogram(
         PAIR_DAY_HIST
@@ -197,12 +204,6 @@ def test_section4_approach_comparison(benchmark):
 
     # Where does Approach 2 actually spend its wall time?  The sampling
     # profiler answers from the same run that produced the timing above.
-    from repro.obs.live.profiler import (
-        attributed_fraction,
-        render_flame_table,
-        span_totals,
-    )
-
     profile = obs_a2.profile
     assert profile is not None and profile["n_samples"] > 0
 

@@ -14,9 +14,13 @@ Three architectures, mirroring the paper's three approaches:
   correlation series once (shared across parameter sets), with pairs
   distributed across MPI ranks and results gathered by the master.
 
-All three produce identical :class:`~repro.backtest.results.ResultStore`
-contents (a tested invariant); they differ only in time and memory.
-:mod:`~repro.backtest.sweep` drives full pairs × days × parameters studies.
+All three run the same strategy job through the one cell loop
+:func:`~repro.backtest.runner.run_cells` and differ only in where a cell's
+correlation series comes from, so they produce identical
+:class:`~repro.backtest.results.ResultStore` contents (a tested
+invariant) at different time and memory cost.
+:mod:`~repro.backtest.sweep` drives full pairs × days × parameters studies
+through Approach 3.
 """
 
 from repro.backtest.distributed import DistributedBacktester

@@ -24,18 +24,21 @@ only the time and memory profiles differ.
 
 from __future__ import annotations
 
-import time
-
 from repro.backtest.data import BarProvider
 from repro.backtest.results import ResultStore
-from repro.backtest.runner import CellFailure, _capture_cell_failure
+from repro.backtest.runner import (
+    CellFailure,
+    correlation_specs,
+    run_cells,
+    validate_study,
+)
 from repro.corr.maronna import MaronnaConfig
 from repro.corr.parallel import ParallelCorrelationEngine
 from repro.elastic.sharding import shard_pairs
 from repro.mpi.api import Comm
-from repro.obs import NULL_METRIC, Obs, comm_obs
-from repro.strategy.costs import ExecutionModel, execution_salt
-from repro.strategy.engine import align_corr_series, run_pair_day
+from repro.obs import Obs, comm_obs, resolve
+from repro.strategy.costs import ExecutionModel
+from repro.strategy.engine import align_corr_series
 from repro.strategy.params import StrategyParams
 
 
@@ -63,8 +66,6 @@ class DistributedBacktester:
         days: list[int],
         obs: Obs | None = None,
         on_error: str = "abort",
-        profile: bool = False,
-        profile_interval: float = 0.005,
     ) -> ResultStore:
         """SPMD entry point: every rank calls this; every rank returns the
         complete merged store (the master additionally being where basket
@@ -75,57 +76,29 @@ class DistributedBacktester:
         cells; the per-rank failures are gathered alongside the partial
         stores and every rank ends with the same sorted manifest in
         ``self.last_failures``.
-
-        ``profile=True`` stack-samples this rank's run and folds the
-        profile into ``obs.profile``, so the cross-rank report merge
-        surfaces one flame table spanning all ranks.
         """
         if on_error not in ("abort", "continue"):
             raise ValueError(
                 f"on_error must be 'abort' or 'continue', got {on_error!r}"
             )
-        if not pairs or not grid or not days:
-            raise ValueError("pairs, grid and days must all be non-empty")
-        if obs is None:
-            obs = comm_obs(comm)
-        record = obs is not None and obs.enabled
-        root_span = (
-            obs.trace.span(
-                "approach3", rank=comm.rank, size=comm.size, days=len(days)
-            )
-            if record
-            else NULL_METRIC
-        )
-        pairs = [tuple(sorted(p)) for p in pairs]
+        pairs = validate_study(pairs, grid, days, self.provider.n_symbols)
+        obs = resolve(obs if obs is not None else comm_obs(comm))
         store = ResultStore()
-        failures: list[CellFailure] = []
+        failures = [] if on_error == "continue" else None
         self.last_failures = []
         # Stable-hash sharding (not contiguous blocks): a pair's shard is a
         # pure function of its id, so membership survives pool resizes and
         # the merged store is identical at any rank count.
         my_pairs = shard_pairs(pairs, comm.size)[comm.rank]
-        specs = sorted(
-            {(p.m, p.ctype) for p in grid}, key=lambda s: (s[0], s[1].value)
-        )
-        profiler = NULL_METRIC
-        if profile and record:
-            from repro.obs.live.profiler import SamplingProfiler
-
-            profiler = SamplingProfiler(obs, interval=profile_interval)
-        with profiler, root_span:
+        specs = correlation_specs(grid)
+        with obs.trace.span(
+            "approach3", rank=comm.rank, size=comm.size, days=len(days)
+        ):
             for day in days:
-                day_span = (
-                    obs.trace.span("day", day=day) if record else NULL_METRIC
-                )
-                with day_span:
+                with obs.trace.span("day", day=day):
                     # Stage 1: master prepares bars, broadcasts market-wide
                     # data.
-                    stage = (
-                        obs.trace.span("bcast_bars")
-                        if record
-                        else NULL_METRIC
-                    )
-                    with stage:
+                    with obs.trace.span("bcast_bars"):
                         if comm.rank == 0:
                             bundle = (
                                 self.provider.prices(day),
@@ -138,81 +111,36 @@ class DistributedBacktester:
 
                     # Stage 2: each correlation series computed exactly once,
                     # pair-blocks distributed, result replicated on all ranks.
-                    stage = (
-                        obs.trace.span("correlation")
-                        if record
-                        else NULL_METRIC
-                    )
-                    with stage:
-                        series_by_spec = {}
-                        for m, ctype in specs:
-                            engine = ParallelCorrelationEngine(
+                    with obs.trace.span("correlation"):
+                        series = {
+                            (m, ctype): ParallelCorrelationEngine(
                                 ctype, self.maronna_config
-                            )
-                            series_by_spec[(m, ctype)] = engine.pair_series(
-                                comm, returns, m, pairs
-                            )
+                            ).pair_series(comm, returns, m, pairs)
+                            for m, ctype in specs
+                        }
 
                     # Stage 3: strategy runs for this rank's pair block, all
                     # parameter sets, reusing the shared series.
-                    stage = (
-                        obs.trace.span("strategy", pairs=len(my_pairs))
-                        if record
-                        else NULL_METRIC
-                    )
-                    with stage:
-                        for i, j in my_pairs:
-                            pair_prices = prices[:, [i, j]]
-                            for k, params in enumerate(grid):
-                                t0 = time.perf_counter() if record else 0.0
-                                series = series_by_spec[
-                                    (params.m, params.ctype)
-                                ][(i, j)]
-                                corr = align_corr_series(
-                                    series, smax, params.m
-                                )
-                                try:
-                                    trades = run_pair_day(
-                                        pair_prices,
-                                        corr,
-                                        params,
-                                        execution=self.execution,
-                                        salt=execution_salt((i, j), k),
-                                    )
-                                except Exception as exc:
-                                    if on_error == "abort":
-                                        raise
-                                    failures.append(
-                                        _capture_cell_failure(
-                                            (i, j), day, k, exc
-                                        )
-                                    )
-                                    if record:
-                                        obs.metrics.counter(
-                                            "backtest.cells_failed"
-                                        ).inc()
-                                    continue
-                                if record:
-                                    obs.metrics.histogram(
-                                        "backtest.pair_day.seconds"
-                                    ).observe(time.perf_counter() - t0)
-                                store.add(
-                                    (i, j), k, day, [t.ret for t in trades]
-                                )
+                    with obs.trace.span("strategy", pairs=len(my_pairs)):
+                        run_cells(
+                            store, prices, day, my_pairs, grid,
+                            lambda i, j, params: align_corr_series(
+                                series[(params.m, params.ctype)][(i, j)],
+                                smax, params.m,
+                            ),
+                            obs, self.execution, failures,
+                        )
 
             # Stage 4: gather partial stores at the master, merge, share
             # back.
-            stage = (
-                obs.trace.span("gather_merge") if record else NULL_METRIC
-            )
-            with stage:
+            with obs.trace.span("gather_merge"):
                 partials = comm.gather(store, root=0)
                 if comm.rank == 0:
                     merged = ResultStore.merged(partials)
                 else:
                     merged = None
                 merged = comm.bcast(merged, root=0)
-                if on_error == "continue":
+                if failures is not None:
                     failure_parts = comm.gather(failures, root=0)
                     manifest = None
                     if comm.rank == 0:
@@ -221,8 +149,4 @@ class DistributedBacktester:
                             key=lambda f: f.sort_key,
                         )
                     self.last_failures = comm.bcast(manifest, root=0)
-        if record:
-            obs.metrics.counter("backtest.jobs").inc(
-                len(my_pairs) * len(grid) * len(days)
-            )
         return merged

@@ -1,19 +1,27 @@
-"""Approach 2: the sequential, per-pair "Matlab" baseline.
+"""Approach 2, and the one cell loop every approach runs.
 
-The paper's second Matlab approach "re-created all correlation timeseries
-in Matlab", producing "a daily return vector R_p^{t,k} for a given pair p,
-day t and parameter vector k in approximately 2 seconds" — one independent
-job per (pair, day, parameter set), each recomputing its own correlation
-series from scratch.  :class:`SequentialBacktester` reproduces exactly that
-cost structure; ``share_correlation=True`` adds the obvious memoisation
-(every pair's series computed once per (day, M, Ctype)) as a measured
-ablation between Approach 2 and the integrated Approach 3.
+The paper's three backtest approaches run the *same* strategy job and
+differ only in where the job's correlation series comes from, so the job
+loop is written once: :func:`run_cells` iterates a day's (pair, parameter
+set) cells, clocks each into ``backtest.pair_day.seconds``, counts
+``backtest.jobs`` / ``backtest.cells_failed`` and fills the store; an
+engine supplies ``corr_for(i, j, params)`` — its correlation source.
+
+:class:`SequentialBacktester` is the paper's second Matlab approach, which
+"re-created all correlation timeseries in Matlab", producing "a daily
+return vector R_p^{t,k} for a given pair p, day t and parameter vector k
+in approximately 2 seconds" — one independent job per (pair, day,
+parameter set), each recomputing its own correlation series from scratch.
+``share_correlation=True`` adds the obvious memoisation (every pair's
+series computed once per (day, M, Ctype)) as a measured ablation between
+Approach 2 and the integrated Approach 3.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +30,8 @@ from repro.backtest.data import BarProvider
 from repro.backtest.results import ResultStore
 from repro.corr.batch import BatchWorkspace, batch_pair_series, corr_series
 from repro.corr.maronna import MaronnaConfig
-from repro.corr.measures import check_pairs
-from repro.obs import NULL_METRIC, Obs
+from repro.corr.measures import CorrelationType, check_pairs
+from repro.obs import Obs, resolve
 from repro.strategy.costs import ExecutionModel, execution_salt
 from repro.strategy.engine import Trade, align_corr_series, run_pair_day
 from repro.strategy.params import StrategyParams
@@ -79,6 +87,99 @@ def _capture_cell_failure(
     )
 
 
+def validate_study(
+    pairs: list[tuple[int, int]],
+    grid: list[StrategyParams],
+    days: list[int],
+    n_symbols: int,
+) -> list[tuple[int, int]]:
+    """Check a study's shape before any work; returns the pairs as ``i < j``.
+
+    Every engine calls this first — Approach 3 on every rank, so a bad
+    study fails all ranks together instead of stranding some in a
+    collective.  Pairs, grid and days must be non-empty, every pair two
+    distinct symbols of the universe, and no day or (unordered) pair
+    repeated.
+    """
+    if not pairs or not grid or not days:
+        raise ValueError("pairs, grid and days must all be non-empty")
+    pairs = [tuple(sorted(p)) for p in check_pairs(pairs, n_symbols)]
+    if len(set(pairs)) != len(pairs):
+        raise ValueError("pairs must be unique (in either order)")
+    if len(set(days)) != len(days):
+        raise ValueError("days must be unique")
+    return pairs
+
+
+def correlation_specs(
+    grid: list[StrategyParams],
+) -> list[tuple[int, CorrelationType]]:
+    """The grid's distinct (window, treatment) specs, in one fixed order."""
+    return sorted(
+        {(p.m, p.ctype) for p in grid}, key=lambda s: (s[0], s[1].value)
+    )
+
+
+def run_cells(
+    store: ResultStore,
+    prices: np.ndarray,
+    day: int,
+    pairs: list[tuple[int, int]],
+    grid: list[StrategyParams],
+    corr_for: Callable[[int, int, StrategyParams], np.ndarray],
+    obs: Obs,
+    execution: ExecutionModel | None = None,
+    failures: list[CellFailure] | None = None,
+) -> None:
+    """Run one day's (pair, parameter set) cells into ``store``.
+
+    The only cell loop under ``repro.backtest``.  ``corr_for(i, j, params)``
+    returns the cell's aligned ``(smax,)`` correlation series and runs
+    *inside* the cell's clock: an approach that computes a series per job
+    pays for it in ``backtest.pair_day.seconds``, one that looks it up
+    does not.  ``backtest.jobs`` counts completed cells.  A cell that
+    raises is appended to ``failures`` and counted in
+    ``backtest.cells_failed``; without a ``failures`` list it re-raises.
+    """
+    hist = obs.metrics.histogram(PAIR_DAY_HIST)
+    jobs = obs.metrics.counter("backtest.jobs")
+    for i, j in pairs:
+        pair_prices = prices[:, [i, j]]
+        for k, params in enumerate(grid):
+            t0 = time.perf_counter()
+            try:
+                trades = run_pair_day(
+                    pair_prices,
+                    corr_for(i, j, params),
+                    params,
+                    execution=execution,
+                    salt=execution_salt((i, j), k),
+                )
+            except Exception as exc:
+                if failures is None:
+                    raise
+                failures.append(_capture_cell_failure((i, j), day, k, exc))
+                obs.metrics.counter("backtest.cells_failed").inc()
+                continue
+            elapsed = time.perf_counter() - t0
+            hist.observe(elapsed)
+            jobs.inc()
+            store.add((i, j), k, day, [t.ret for t in trades])
+
+
+def _own_corr(
+    pair_prices: np.ndarray,
+    params: StrategyParams,
+    maronna_config: MaronnaConfig | None,
+) -> np.ndarray:
+    """The Approach-2 source: a job's series from its own pair's closes."""
+    returns = np.diff(np.log(pair_prices), axis=0)
+    series = corr_series(
+        returns[:, 0], returns[:, 1], params.m, params.ctype, maronna_config
+    )
+    return align_corr_series(series, pair_prices.shape[0], params.m)
+
+
 def backtest_pair_day(
     prices: np.ndarray,
     params: StrategyParams,
@@ -97,23 +198,12 @@ def backtest_pair_day(
     prices = np.asarray(prices, dtype=float)
     if prices.ndim != 2 or prices.shape[1] != 2:
         raise ValueError(f"prices must be (smax, 2), got {prices.shape}")
-    smax = prices.shape[0]
-    hist = (
-        obs.metrics.histogram(PAIR_DAY_HIST)
-        if obs is not None and obs.enabled
-        else None
-    )
-    t0 = time.perf_counter() if hist is not None else 0.0
-    if corr is None:
-        returns = np.diff(np.log(prices), axis=0)
-        series = corr_series(
-            returns[:, 0], returns[:, 1], params.m, params.ctype, maronna_config
+    with resolve(obs).metrics.timer(PAIR_DAY_HIST):
+        if corr is None:
+            corr = _own_corr(prices, params, maronna_config)
+        return run_pair_day(
+            prices, corr, params, execution=execution, salt=salt
         )
-        corr = align_corr_series(series, smax, params.m)
-    trades = run_pair_day(prices, corr, params, execution=execution, salt=salt)
-    if hist is not None:
-        hist.observe(time.perf_counter() - t0)
-    return trades
 
 
 class SequentialBacktester:
@@ -135,21 +225,13 @@ class SequentialBacktester:
         maronna_config: MaronnaConfig | None = None,
         execution: ExecutionModel | None = None,
         obs: Obs | None = None,
-        profile: bool = False,
-        profile_interval: float = 0.005,
     ):
         self.provider = provider
         self.share_correlation = share_correlation
         self.maronna_config = maronna_config
         self.execution = execution
-        self.obs = obs
+        self.obs = resolve(obs)
         self._workspace = BatchWorkspace()
-        #: With ``profile=True`` (and an enabled obs), each run is stack-
-        #: sampled and the profile folded into ``obs.profile``.
-        self.profile = profile
-        self.profile_interval = profile_interval
-        #: Wall-clock seconds spent per (pair, day, param) job in the last run.
-        self.last_job_seconds: list[float] = []
         #: Cells skipped by the last ``on_error="continue"`` run.
         self.last_failures: list[CellFailure] = []
 
@@ -170,43 +252,33 @@ class SequentialBacktester:
             raise ValueError(
                 f"on_error must be 'abort' or 'continue', got {on_error!r}"
             )
-        self._validate(pairs, grid, days)
-        obs = self.obs
-        record = obs is not None and obs.enabled
-        span = (
-            obs.trace.span(
-                "approach2", days=len(days), pairs=len(pairs), grid=len(grid)
-            )
-            if record
-            else NULL_METRIC
-        )
+        pairs = validate_study(pairs, grid, days, self.provider.n_symbols)
         store = ResultStore()
-        self.last_job_seconds = []
         self.last_failures = []
-        profiler = None
-        if self.profile and record:
-            from repro.obs.live.profiler import SamplingProfiler
-
-            profiler = SamplingProfiler(obs, interval=self.profile_interval)
-            profiler.start()
-        try:
-            self._run_cells(store, pairs, grid, days, span, on_error, record)
-        finally:
-            if profiler is not None:
-                profiler.stop()
-        if record:
-            obs.metrics.counter("backtest.jobs").inc(len(self.last_job_seconds))
+        with self.obs.trace.span(
+            "approach2", days=len(days), pairs=len(pairs), grid=len(grid)
+        ):
+            for day in days:
+                prices = self.provider.prices(day)
+                run_cells(
+                    store, prices, day, pairs, grid,
+                    self._corr_source(prices, pairs, grid, day),
+                    self.obs, self.execution,
+                    self.last_failures if on_error == "continue" else None,
+                )
         return store
 
-    def _shared_corr(self, pairs, grid, day, smax) -> dict[tuple, np.ndarray]:
-        """The day's ``{(i, j, m, ctype): aligned series}`` cache: one
-        batch evaluation per (window, treatment) spec."""
+    def _corr_source(self, prices, pairs, grid, day):
+        """The day's ``corr_for``: each job computes its own series, or
+        (shared) reads a cache filled by one batch evaluation per spec."""
+        if not self.share_correlation:
+            return lambda i, j, params: _own_corr(
+                prices[:, [i, j]], params, self.maronna_config
+            )
         returns = self.provider.returns(day)
-        specs = sorted(
-            {(p.m, p.ctype) for p in grid}, key=lambda s: (s[0], s[1].value)
-        )
+        smax = prices.shape[0]
         cache: dict[tuple, np.ndarray] = {}
-        for m, ctype in specs:
+        for m, ctype in correlation_specs(grid):
             block = batch_pair_series(
                 returns, m, ctype, self.maronna_config, pairs=pairs,
                 obs=self.obs, workspace=self._workspace,
@@ -215,61 +287,4 @@ class SequentialBacktester:
                 cache[(i, j, m, ctype)] = align_corr_series(
                     block[:, p], smax, m
                 )
-        return cache
-
-    def _run_cells(self, store, pairs, grid, days, span, on_error, record):
-        obs = self.obs
-        with span:
-            for day in days:
-                prices = self.provider.prices(day)
-                smax = prices.shape[0]
-                corr_cache = (
-                    self._shared_corr(pairs, grid, day, smax)
-                    if self.share_correlation
-                    else {}
-                )
-                for i, j in pairs:
-                    pair_prices = prices[:, [i, j]]
-                    for k, params in enumerate(grid):
-                        t0 = time.perf_counter()
-                        # Unshared: no cached series, the job computes its own.
-                        corr = corr_cache.get((i, j, params.m, params.ctype))
-                        # The timing loop owns the job clock — pass obs=None
-                        # down so the job does not also record itself.
-                        try:
-                            trades = backtest_pair_day(
-                                pair_prices,
-                                params,
-                                corr,
-                                self.maronna_config,
-                                execution=self.execution,
-                                salt=execution_salt((i, j), k),
-                            )
-                        except Exception as exc:
-                            if on_error == "abort":
-                                raise
-                            self.last_failures.append(
-                                _capture_cell_failure((i, j), day, k, exc)
-                            )
-                            if record:
-                                obs.metrics.counter(
-                                    "backtest.cells_failed"
-                                ).inc()
-                            continue
-                        elapsed = time.perf_counter() - t0
-                        self.last_job_seconds.append(elapsed)
-                        if record:
-                            obs.metrics.histogram(PAIR_DAY_HIST).observe(elapsed)
-                        store.add((i, j), k, day, [t.ret for t in trades])
-
-    def _validate(
-        self,
-        pairs: list[tuple[int, int]],
-        grid: list[StrategyParams],
-        days: list[int],
-    ) -> None:
-        if not pairs or not grid or not days:
-            raise ValueError("pairs, grid and days must all be non-empty")
-        check_pairs(pairs, self.provider.n_symbols)
-        if len(set(days)) != len(days):
-            raise ValueError("days must be unique")
+        return lambda i, j, params: cache[(i, j, params.m, params.ctype)]

@@ -2,7 +2,7 @@
 
 :func:`run_sweep` is the one-call driver behind the Tables III–V and
 Figure-2 reproductions: build the synthetic month, run every pair and
-parameter set through the chosen backtest engine, and return the
+parameter set through the integrated Approach-3 engine, and return the
 :class:`~repro.backtest.results.ResultStore` plus the grid needed to
 summarise it.  Defaults are scaled to a single core; every knob scales to
 the paper's 61 stocks × 20 days × 42 sets.
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.backtest.data import BarProvider
 from repro.backtest.distributed import DistributedBacktester
 from repro.backtest.results import ResultStore
-from repro.backtest.runner import SequentialBacktester
 from repro.corr.maronna import MaronnaConfig
 from repro.mpi.launcher import run_spmd
 from repro.obs import Obs, attach_to_comm
@@ -50,7 +49,6 @@ class SweepConfig:
     )
     grid: tuple[StrategyParams, ...] | None = None
     market_config: SyntheticMarketConfig | None = None
-    engine: str = "distributed"  # or "sequential"
     ranks: int = 2
     backend: str = "thread"
     clean: bool = True
@@ -71,10 +69,6 @@ class SweepConfig:
         check_positive_int(self.n_days, "n_days")
         check_positive_int(self.delta_s, "delta_s")
         check_positive_int(self.ranks, "ranks")
-        if self.engine not in ("distributed", "sequential"):
-            raise ValueError(
-                f"engine must be 'distributed' or 'sequential', got {self.engine!r}"
-            )
 
     def build_grid(self) -> list[StrategyParams]:
         """The parameter sets of this sweep."""
@@ -112,9 +106,10 @@ def run_sweep(
     """Execute a sweep; returns the result store and its parameter grid.
 
     The store covers all ``n(n-1)/2`` pairs of the universe, every grid
-    entry and days ``0 .. n_days-1``.  With an enabled ``obs``, engine
-    telemetry is recorded into it: the sequential engine writes directly;
-    the distributed engine gives each rank its own registry and the
+    entry and days ``0 .. n_days-1``, computed by
+    :class:`~repro.backtest.distributed.DistributedBacktester` on
+    ``config.ranks`` ranks (one rank is the single-process run).  With an
+    enabled ``obs``, each rank records into its own registry and the
     per-rank interchange dicts are absorbed into ``obs`` afterwards.
 
     With ``config.on_error == "continue"``, failed cells do not abort the
@@ -127,21 +122,6 @@ def run_sweep(
     pairs = list(config.build_universe().pairs())
     days = list(range(config.n_days))
     record = obs is not None and obs.enabled
-
-    if config.engine == "sequential":
-        backtester = SequentialBacktester(
-            provider,
-            share_correlation=True,
-            maronna_config=maronna_config,
-            execution=config.execution,
-            obs=obs if record else None,
-        )
-        store = backtester.run(pairs, grid, days, on_error=config.on_error)
-        if failures is not None:
-            failures.extend(
-                sorted(backtester.last_failures, key=lambda f: f.sort_key)
-            )
-        return store, grid
 
     def spmd(comm):
         local = None

@@ -105,7 +105,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             m=60, w=30, y=8, rt=30, hp=20, st=10, d=0.001
         ),
         ranks=args.ranks,
-        engine=args.engine,
         on_error="continue" if args.continue_on_error else "abort",
     )
     obs = _make_obs(args)
@@ -882,8 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=4,
                    help="factor levels per treatment (max 14)")
     p.add_argument("--ranks", type=int, default=2)
-    p.add_argument("--engine", choices=("distributed", "sequential"),
-                   default="distributed")
     p.add_argument("--continue-on-error", action="store_true",
                    help="skip failed (pair, day, set) cells, print a "
                    "failure manifest and exit 3 instead of aborting")

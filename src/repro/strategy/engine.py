@@ -115,13 +115,17 @@ def _close_reason(
     s: int,
     smax: int,
     prices: np.ndarray,
-    spread: np.ndarray,
-    corr: np.ndarray,
-    c_bar: np.ndarray,
+    spread_s: float,
+    corr_s: float,
+    c_bar_s: float,
     params: StrategyParams,
 ) -> TradeReason | None:
-    """Exit rules in priority order: retracement, HP, extensions, EOD."""
-    if position.retracement_hit(float(spread[s])):
+    """Exit rules in priority order: retracement, HP, extensions, EOD.
+
+    The one exit rule of the batch scan and the streaming state machine;
+    ``spread_s``, ``corr_s`` and ``c_bar_s`` are the interval's scalars.
+    """
+    if position.retracement_hit(float(spread_s)):
         return TradeReason.RETRACEMENT
     if s - position.entry_s >= params.hp:
         return TradeReason.MAX_HOLDING
@@ -130,8 +134,8 @@ def _close_reason(
         p_short = float(prices[s, 1 - position.long_leg])
         if position_return(position, p_long, p_short) <= -params.stop_loss:
             return TradeReason.STOP_LOSS
-    if params.correlation_reversion and np.isfinite(c_bar[s]):
-        if c_bar[s] * (1.0 - params.d) <= corr[s] < c_bar[s]:
+    if params.correlation_reversion and np.isfinite(c_bar_s):
+        if c_bar_s * (1.0 - params.d) <= corr_s < c_bar_s:
             return TradeReason.CORR_REVERSION
     if s == smax - 1:
         return TradeReason.END_OF_DAY
@@ -216,7 +220,8 @@ def run_pair_day(
     for s in range(start, smax):
         if position is not None:
             reason = _close_reason(
-                position, s, smax, prices, spread, corr, c_bar, params
+                position, s, smax, prices, spread[s], corr[s], c_bar[s],
+                params,
             )
             if reason is not None:
                 trades.append(_close(position, s, prices, reason, execution))
@@ -268,11 +273,10 @@ class PairStrategy:
     def open_position(self) -> PairPosition | None:
         return self._position
 
-    def step(self, s: int, price_0: float, price_1: float, corr_s: float) -> Trade | None:
-        """Advance one interval; returns a trade if one closed at ``s``.
-
-        ``corr_s`` may be NaN during warm-up (``s < M``).
-        """
+    def _record(
+        self, s: int, price_0: float, price_1: float, corr_s: float
+    ) -> None:
+        """Check the interval is the next one and store its inputs."""
         if s != self._s:
             raise ValueError(f"expected interval {self._s}, got {s}")
         if s >= self.smax:
@@ -283,6 +287,13 @@ class PairStrategy:
         self._corr[s] = corr_s
         self._s += 1
 
+    def step(self, s: int, price_0: float, price_1: float, corr_s: float) -> Trade | None:
+        """Advance one interval; returns a trade if one closed at ``s``.
+
+        ``corr_s`` may be NaN during warm-up (``s < M``).
+        """
+        self._record(s, price_0, price_1, corr_s)
+
         params = self.params
         if s < params.first_active_interval:
             return None
@@ -290,8 +301,10 @@ class PairStrategy:
         spread = self._prices[:, 0] - self._prices[:, 1]
         closed: Trade | None = None
         if self._position is not None:
-            c_bar_s = self._c_bar(s)
-            reason = self._close_reason_stream(s, spread, c_bar_s)
+            reason = _close_reason(
+                self._position, s, self.smax, self._prices, spread[s],
+                self._corr[s], self._c_bar(s), params,
+            )
             if reason is not None:
                 closed = _close(
                     self._position, s, self._prices, reason, self.execution
@@ -327,15 +340,7 @@ class PairStrategy:
         also keeps the entry signal suppressed for the next ``w``
         intervals — re-entry requires a full window of fresh data.
         """
-        if s != self._s:
-            raise ValueError(f"expected interval {self._s}, got {s}")
-        if s >= self.smax:
-            raise ValueError(f"interval {s} beyond smax={self.smax}")
-        if price_0 <= 0 or price_1 <= 0:
-            raise ValueError("prices must be positive")
-        self._prices[s] = (price_0, price_1)
-        self._corr[s] = float("nan")
-        self._s += 1
+        self._record(s, price_0, price_1, float("nan"))
         if self._position is None:
             return None
         closed = _close(
@@ -370,23 +375,3 @@ class PairStrategy:
         if s < params.y:
             return False
         return not all(self._diverged(sigma) for sigma in range(s - params.y, s))
-
-    def _close_reason_stream(self, s: int, spread: np.ndarray, c_bar_s: float) -> TradeReason | None:
-        params = self.params
-        position = self._position
-        assert position is not None
-        if position.retracement_hit(float(spread[s])):
-            return TradeReason.RETRACEMENT
-        if s - position.entry_s >= params.hp:
-            return TradeReason.MAX_HOLDING
-        if params.stop_loss is not None:
-            p_long = float(self._prices[s, position.long_leg])
-            p_short = float(self._prices[s, 1 - position.long_leg])
-            if position_return(position, p_long, p_short) <= -params.stop_loss:
-                return TradeReason.STOP_LOSS
-        if params.correlation_reversion and np.isfinite(c_bar_s):
-            if c_bar_s * (1.0 - params.d) <= self._corr[s] < c_bar_s:
-                return TradeReason.CORR_REVERSION
-        if s == self.smax - 1:
-            return TradeReason.END_OF_DAY
-        return None

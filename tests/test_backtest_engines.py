@@ -5,6 +5,9 @@ per-pair) and 3 (distributed integrated) produce byte-identical result
 stores — they are architectures, not algorithms.
 """
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,14 @@ from repro.backtest.data import BarProvider
 from repro.backtest.distributed import DistributedBacktester
 from repro.backtest.matrices import MatrixSeriesBacktester
 from repro.backtest.results import ResultStore
-from repro.backtest.runner import SequentialBacktester, backtest_pair_day
+from repro.backtest.runner import (
+    PAIR_DAY_HIST,
+    SequentialBacktester,
+    backtest_pair_day,
+)
+from repro.backtest.sweep import SweepConfig, run_sweep
+from repro.mpi.inproc import SpmdFailure
+from repro.obs import Obs
 from repro.strategy.costs import execution_salt
 from repro.strategy.engine import align_corr_series, run_pair_day
 from repro.strategy.params import StrategyParams
@@ -104,19 +114,11 @@ class TestSequential:
 
     def test_job_timings_recorded(self, provider, small_setup):
         pairs, grid, days = small_setup
-        bt = SequentialBacktester(provider)
-        bt.run(pairs, grid, days)
-        assert len(bt.last_job_seconds) == len(pairs) * len(grid) * len(days)
-        assert all(t >= 0 for t in bt.last_job_seconds)
-
-    def test_validates_inputs(self, provider):
-        bt = SequentialBacktester(provider)
-        with pytest.raises(ValueError):
-            bt.run([], [BASE], [0])
-        with pytest.raises(ValueError):
-            bt.run([(0, 9)], [BASE], [0])
-        with pytest.raises(ValueError):
-            bt.run([(0, 1)], [BASE], [0, 0])
+        obs = Obs()
+        SequentialBacktester(provider, obs=obs).run(pairs, grid, days)
+        hist = obs.metrics.histogram(PAIR_DAY_HIST)
+        assert hist.count == len(pairs) * len(grid) * len(days)
+        assert all(t >= 0 for t in hist.values)
 
     def test_backtest_pair_day_self_contained(self, provider):
         prices = provider.prices(0)[:, [0, 1]]
@@ -173,15 +175,6 @@ class TestEquivalence:
         assert all(r == results[0] for r in results)
         assert len(results[0]) == len(pairs) * len(grid) * len(days)
 
-    def test_distributed_validates(self, provider):
-        def spmd(comm):
-            return DistributedBacktester(provider).run(comm, [], [BASE], [0])
-
-        from repro.mpi.inproc import SpmdFailure
-
-        with pytest.raises(SpmdFailure):
-            mpi.run_spmd(spmd, size=1)
-
 
 class TestBatchBackendEquivalence:
     """Every engine's batch-kernel correlations reproduce a store built
@@ -237,3 +230,151 @@ class TestBatchBackendEquivalence:
         ):
             with pytest.raises(TypeError, match="corr_backend"):
                 engine(provider, corr_backend="batch")
+
+    def test_engines_reject_profile_options(self, provider):
+        """Profiling is ``with SamplingProfiler(obs): engine.run(...)``;
+        the per-engine switches are gone, not merely ignored."""
+        for engine in (SequentialBacktester, MatrixSeriesBacktester):
+            for option in ("profile", "profile_interval"):
+                with pytest.raises(TypeError, match=option):
+                    engine(provider, **{option: 1})
+
+        def spmd(comm):
+            return DistributedBacktester(provider).run(
+                comm, [(0, 1)], [BASE], [0], profile=True
+            )
+
+        with pytest.raises(SpmdFailure, match="profile"):
+            mpi.run_spmd(spmd, size=1)
+
+
+#: One small study, stated as a sweep so every route can run it.
+STUDY = SweepConfig(
+    n_symbols=4,
+    n_days=2,
+    trading_seconds=23_400 // 4,
+    seed=404,
+    grid=(BASE, BASE.with_ctype("maronna")),
+)
+
+
+def _study_parts():
+    return (
+        STUDY.build_provider(),
+        list(STUDY.build_universe().pairs()),
+        STUDY.build_grid(),
+        list(range(STUDY.n_days)),
+    )
+
+
+def _single_process(engine, **options):
+    def route():
+        provider, pairs, grid, days = _study_parts()
+        obs = Obs()
+        return engine(provider, obs=obs, **options).run(pairs, grid, days), obs
+
+    return route
+
+
+def _approach3(ranks):
+    def route():
+        provider, pairs, grid, days = _study_parts()
+
+        def spmd(comm):
+            local = Obs()
+            store = DistributedBacktester(provider).run(
+                comm, pairs, grid, days, obs=local
+            )
+            return store, local.to_dict()
+
+        obs = Obs()
+        results = mpi.run_spmd(spmd, size=ranks)
+        for rank, (_, rank_dict) in enumerate(results):
+            obs.absorb_rank(rank, rank_dict)
+        return results[0][0], obs
+
+    return route
+
+
+def _sweep(ranks):
+    def route():
+        obs = Obs()
+        store, _ = run_sweep(replace(STUDY, ranks=ranks), obs=obs)
+        return store, obs
+
+    return route
+
+
+ROUTES = {
+    "approach1": _single_process(MatrixSeriesBacktester),
+    "approach2": _single_process(SequentialBacktester),
+    "approach2-shared": _single_process(
+        SequentialBacktester, share_correlation=True
+    ),
+    "approach3-1rank": _approach3(1),
+    "approach3-2ranks": _approach3(2),
+    "sweep-1rank": _sweep(1),
+    "sweep-2ranks": _sweep(2),
+}
+
+
+class TestOneCellLoop:
+    """An approach is a correlation source: whichever one feeds the cell
+    loop, the store, the job count and the number of clocked cells agree
+    (summed over ranks where there are several)."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return ROUTES["approach2"]()[0]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_same_store_and_counts(self, route, reference):
+        store, obs = ROUTES[route]()
+        assert store == reference
+        assert store.n_trades > 0
+        metrics = obs.report()["metrics"]
+        assert metrics["counters"]["backtest.jobs"] == len(reference)
+        assert metrics["histograms"][PAIR_DAY_HIST]["count"] == len(reference)
+        assert "backtest.cells_failed" not in metrics["counters"]
+
+
+#: Studies every engine must refuse before doing any work.
+BAD_STUDIES = {
+    "empty": ([], [0]),
+    "bad-pair": ([(0, 9)], [0]),  # outside the 5-symbol universe
+    "dup-day": ([(0, 1)], [0, 0]),
+    "dup-pair": ([(0, 1), (1, 0)], [0]),  # repeated once ordered i < j
+}
+
+
+class TestValidation:
+    """One pointed ``ValueError`` up front — not an ``IndexError`` from
+    numpy, not a late ``ResultStore.add`` refusal, not a hung gather."""
+
+    @pytest.mark.parametrize("case", BAD_STUDIES)
+    @pytest.mark.parametrize(
+        "engine",
+        [MatrixSeriesBacktester, SequentialBacktester],
+        ids=["approach1", "approach2"],
+    )
+    def test_single_process(self, provider, engine, case):
+        pairs, days = BAD_STUDIES[case]
+        with pytest.raises(ValueError):
+            engine(provider).run(pairs, [BASE], days)
+
+    @pytest.mark.parametrize("case", BAD_STUDIES)
+    def test_distributed_fast_on_every_rank(self, provider, case):
+        pairs, days = BAD_STUDIES[case]
+
+        def spmd(comm):
+            return DistributedBacktester(provider).run(
+                comm, pairs, [BASE], days
+            )
+
+        t0 = time.perf_counter()
+        with pytest.raises(SpmdFailure) as exc:
+            mpi.run_spmd(spmd, size=2, default_timeout=5)
+        assert time.perf_counter() - t0 < 1.0
+        errors = exc.value.errors
+        assert sorted(errors) == [0, 1]
+        assert all(type(e) is ValueError for e in errors.values())

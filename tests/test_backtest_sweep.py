@@ -4,6 +4,7 @@ import pytest
 
 from repro import mpi
 from repro.backtest.distributed import DistributedBacktester
+from repro.backtest.runner import SequentialBacktester
 from repro.backtest.sweep import SweepConfig, run_sweep
 from repro.corr.measures import CorrelationType
 from repro.strategy.costs import execution_salt
@@ -30,9 +31,9 @@ class TestSweepConfig:
         [
             {"n_symbols": 1},
             {"n_days": 0},
-            {"engine": "quantum"},
+            {"engine": "quantum"},  # the removed selectors are not fields
             {"ranks": 0},
-            {"corr_backend": "batch"},  # the removed selector is not a field
+            {"corr_backend": "batch"},
         ],
     )
     def test_validation(self, kwargs):
@@ -69,17 +70,24 @@ class TestRunSweep:
         }
 
     def test_sequential_engine_equivalent(self, small_sweep):
+        """The sweep has one engine: one rank == two ranks == Approach 2."""
         store, grid = small_sweep
         cfg = SweepConfig(
             n_symbols=6,
             n_days=2,
             n_levels=2,
             trading_seconds=23_400 // 4,
-            engine="sequential",
+            ranks=1,
         )
-        store2, grid2 = run_sweep(cfg)
-        assert store == store2
-        assert grid == grid2
+        store1, grid1 = run_sweep(cfg)
+        assert store1 == store
+        assert grid1 == grid
+        sequential = SequentialBacktester(cfg.build_provider()).run(
+            list(cfg.build_universe().pairs()), grid, [0, 1]
+        )
+        assert sequential == store
+        with pytest.raises(TypeError, match="engine"):
+            SweepConfig(engine="sequential")
 
     def test_deterministic_across_rank_counts(self):
         base = dict(n_symbols=4, n_days=1, n_levels=1, trading_seconds=2400)
@@ -106,12 +114,13 @@ class TestFailureManifest:
     BASE = dict(n_symbols=4, n_days=2, n_levels=1, trading_seconds=2400)
     BAD_PAIR, BAD_K = (0, 1), 0
 
-    def _break_cell(self, monkeypatch, module_path, fn_name):
-        """Make exactly the (BAD_PAIR, BAD_K) cell raise, every day."""
-        import importlib
+    @pytest.fixture
+    def broken_cell(self, monkeypatch):
+        """Make exactly the (BAD_PAIR, BAD_K) cell raise, every day — in
+        the one place every engine runs a cell."""
+        from repro.backtest import runner
 
-        module = importlib.import_module(module_path)
-        real = getattr(module, fn_name)
+        real = runner.run_pair_day
         bad_salt = execution_salt(self.BAD_PAIR, self.BAD_K)
 
         def wrapper(*args, **kwargs):
@@ -119,13 +128,20 @@ class TestFailureManifest:
                 raise RuntimeError("synthetic cell failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, fn_name, wrapper)
+        monkeypatch.setattr(runner, "run_pair_day", wrapper)
 
-    def test_sequential_continue_collects_manifest(self, monkeypatch):
-        self._break_cell(monkeypatch, "repro.backtest.runner", "backtest_pair_day")
-        failures = []
-        cfg = SweepConfig(engine="sequential", on_error="continue", **self.BASE)
-        store, grid = run_sweep(cfg, failures=failures)
+    def _sequential(self, on_error):
+        """Approach 2 over the BASE study: (store, grid, failures)."""
+        cfg = SweepConfig(**self.BASE)
+        grid = cfg.build_grid()
+        backtester = SequentialBacktester(cfg.build_provider())
+        store = backtester.run(
+            list(cfg.build_universe().pairs()), grid, [0, 1], on_error=on_error
+        )
+        return store, grid, backtester.last_failures
+
+    def test_sequential_continue_collects_manifest(self, broken_cell):
+        store, grid, failures = self._sequential("continue")
         assert [f.sort_key for f in failures] == [
             (0, self.BAD_PAIR, self.BAD_K),
             (1, self.BAD_PAIR, self.BAD_K),
@@ -136,27 +152,15 @@ class TestFailureManifest:
         n_pairs, n_days = 6, 2
         assert len(store) == n_pairs * len(grid) * n_days - len(failures)
 
-    def test_sequential_abort_raises_by_default(self, monkeypatch):
-        self._break_cell(monkeypatch, "repro.backtest.runner", "backtest_pair_day")
-        cfg = SweepConfig(engine="sequential", **self.BASE)
+    def test_sequential_abort_raises_by_default(self, broken_cell):
         with pytest.raises(Exception, match="synthetic cell failure"):
-            run_sweep(cfg)
+            self._sequential("abort")
 
-    def test_distributed_continue_matches_sequential(self, monkeypatch):
-        self._break_cell(monkeypatch, "repro.backtest.runner", "backtest_pair_day")
-        seq_failures = []
-        seq_store, _ = run_sweep(
-            SweepConfig(engine="sequential", on_error="continue", **self.BASE),
-            failures=seq_failures,
-        )
-        self._break_cell(
-            monkeypatch, "repro.backtest.distributed", "run_pair_day"
-        )
+    def test_distributed_continue_matches_sequential(self, broken_cell):
+        seq_store, _, seq_failures = self._sequential("continue")
         dist_failures = []
         dist_store, _ = run_sweep(
-            SweepConfig(
-                engine="distributed", ranks=2, on_error="continue", **self.BASE
-            ),
+            SweepConfig(ranks=2, on_error="continue", **self.BASE),
             failures=dist_failures,
         )
         assert dist_store == seq_store
@@ -164,11 +168,8 @@ class TestFailureManifest:
             f.sort_key for f in seq_failures
         ]
 
-    def test_distributed_manifest_identical_on_all_ranks(self, monkeypatch):
-        self._break_cell(
-            monkeypatch, "repro.backtest.distributed", "run_pair_day"
-        )
-        cfg = SweepConfig(engine="distributed", on_error="continue", **self.BASE)
+    def test_distributed_manifest_identical_on_all_ranks(self, broken_cell):
+        cfg = SweepConfig(on_error="continue", **self.BASE)
         provider = cfg.build_provider()
         grid = cfg.build_grid()
         pairs = list(cfg.build_universe().pairs())

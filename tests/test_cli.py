@@ -23,7 +23,7 @@ class TestParser:
         args = build_parser().parse_args(["sweep"])
         assert args.symbols == 8
         assert args.levels == 4
-        assert args.engine == "distributed"
+        assert args.ranks == 2
         assert args.obs_json is None
         assert args.log_level is None
 
@@ -61,13 +61,6 @@ class TestSweep:
         assert "Table V" in out
         assert "Sharpe Ratio" in out
 
-    def test_sequential_engine(self, capsys):
-        assert main(
-            ["sweep", *FAST, "--days", "1", "--levels", "1",
-             "--engine", "sequential"]
-        ) == 0
-        assert "Table III" in capsys.readouterr().out
-
     def test_corr_backend_flag(self, capsys):
         """There is one correlation path; the flag that chose is gone."""
         assert not hasattr(build_parser().parse_args(["sweep"]), "corr_backend")
@@ -75,6 +68,15 @@ class TestSweep:
             build_parser().parse_args(["sweep", "--corr-backend", "batch"])
         assert exc.value.code == 2
         assert "--corr-backend" in capsys.readouterr().err
+
+    def test_engine_flag(self, capsys):
+        """The sweep has one engine; a one-rank run is ``--ranks 1``
+        (``test_prints_all_tables``), not a second route."""
+        assert not hasattr(build_parser().parse_args(["sweep"]), "engine")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--engine", "sequential"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestPipeline:

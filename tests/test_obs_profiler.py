@@ -1,9 +1,9 @@
 """Sampling profiler: attribution, interchange, merging, rendering.
 
 The acceptance invariant is the issue's criterion: an Approach-2 backtest
-run with ``profile=True`` attributes at least 90% of its sampled wall
-time to named obs spans (the span tree covers the engine's whole run),
-with the result store unchanged by profiling.
+run inside ``with SamplingProfiler(obs)`` attributes at least 90% of its
+sampled wall time to named obs spans (the span tree covers the engine's
+whole run), with the result store unchanged by profiling.
 """
 
 import time
@@ -61,9 +61,10 @@ class TestApproach2Attribution:
         grid = [base.with_ctype(ct) for ct in ("pearson", "maronna")]
 
         obs = Obs(enabled=True)
-        store = SequentialBacktester(
-            provider, obs=obs, profile=True, profile_interval=0.002
-        ).run(pairs, grid, [0])
+        with SamplingProfiler(obs, interval=0.002):
+            store = SequentialBacktester(provider, obs=obs).run(
+                pairs, grid, [0]
+            )
 
         profile = obs.profile
         assert profile is not None
