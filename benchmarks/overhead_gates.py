@@ -1,0 +1,118 @@
+"""Overhead gates: every switchable seam must be (near-)free when off.
+
+``python -m benchmarks.overhead_gates`` (a ``scripts/check.sh`` stage)
+times both sides of each row of :data:`GATES`, min of :data:`N_RUNS`
+runs a side (min is robust to scheduling noise), and fails unless
+``numerator / denominator`` stays under the row's budget:
+
+* obs — a Figure-1 session with observability off must not be slower
+  than the same session with it on (the enabled run does strictly more
+  work, so this bounds the cost of the no-op path);
+* sampler — a ``TelemetryHub`` sampling every rank's registry at the
+  default interval (the ``repro top`` data path) reads from its own
+  thread, so the session should barely notice it;
+* tracer, faults — an untraced / fault-free ping-pong pays exactly one
+  ``is not None`` test per send/recv for carrying the seam.
+"""
+
+import time
+from functools import partial
+
+from repro.analysis.commtrace import run_traced
+from repro.faults import FaultInjector, FaultPlan
+from repro.marketminer.session import build_synthetic_figure1, run_figure1_session
+from repro.mpi.launcher import run_spmd
+from repro.obs.live import TelemetryHub
+from repro.obs.live.sampler import DEFAULT_INTERVAL
+from repro.strategy.params import StrategyParams
+
+SECONDS = 3000
+ROUNDS = 4000
+N_RUNS = 3
+
+
+def _timed(fn, *args, **kwargs) -> float:
+    t0 = time.perf_counter()
+    fn(*args, **kwargs)
+    return time.perf_counter() - t0
+
+
+def session(obs_enabled=True, sampled=False) -> float:
+    """Seconds for one Figure-1 session on 2 ranks."""
+    params = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=5, d=0.001)
+    workflow = build_synthetic_figure1(4, SECONDS, 7, params)
+    hub = TelemetryHub()
+    if sampled:
+        hub.start(DEFAULT_INTERVAL)
+    try:
+        return _timed(
+            run_figure1_session, workflow, size=2, obs_enabled=obs_enabled,
+            obs_hook=hub.register if sampled else None,
+        )
+    finally:
+        hub.stop()
+        if sampled:
+            assert hub.n_ticks > 0, "sampler never ticked: check is vacuous"
+
+
+def pingpong(comm):
+    peer = 1 - comm.rank
+    for i in range(ROUNDS):
+        if comm.rank == 0:
+            comm.send(i, peer, tag=1)
+            comm.recv(source=peer, tag=2)
+        else:
+            comm.recv(source=peer, tag=1)
+            comm.send(i, peer, tag=2)
+
+
+def injected_pingpong(comm):
+    """Ping-pong under an empty plan: the injector stamps and op-counts
+    every message but injects nothing."""
+    comm.attach_faults(FaultInjector(FaultPlan(name="empty"), comm.rank))
+    try:
+        pingpong(comm)
+    finally:
+        comm.attach_faults(None)
+
+
+def world(program=pingpong, traced=False) -> float:
+    """Seconds for one 2-rank run of ``program``."""
+    if traced:
+        return _timed(run_traced, program, 2, default_timeout=30.0)
+    return _timed(run_spmd, program, size=2, default_timeout=30.0)
+
+
+#: (numerator, its run, denominator, its run, budget, what passing means)
+GATES = (
+    ("disabled", partial(session, obs_enabled=False), "enabled", session,
+     1.10, "disabled observability pays no measurable overhead"),
+    ("sampled", partial(session, sampled=True), "bare", session,
+     1.05, "live sampler stays under the 5% overhead budget"),
+    ("untraced", world, "traced", partial(world, traced=True),
+     1.10, "detached comm tracer pays no measurable overhead"),
+    ("detached", world, "attached", partial(world, injected_pingpong),
+     1.10, "detached fault injection pays no measurable overhead"),
+)
+
+
+def best_of(run_once) -> float:
+    return min(run_once() for _ in range(N_RUNS))
+
+
+def main() -> None:
+    for num, run_num, den, run_den, budget, verdict in GATES:
+        t_num, t_den = best_of(run_num), best_of(run_den)
+        ratio = t_num / t_den
+        print(f"{num} {t_num:.3f}s  {den} {t_den:.3f}s  "
+              f"{num}/{den} {ratio:.2f}")
+        if ratio >= budget:
+            raise SystemExit(
+                f"{num}/{den} ratio {ratio:.2f} >= {budget:.2f}: the "
+                f"{num} path regressed"
+            )
+        print(f"ok: {verdict}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,21 +1,19 @@
-"""repro.analysis — DAG/comm correctness checkers and repo lint.
+"""repro.analysis — DAG/comm correctness checkers and the repo's lint.
 
-Three coordinated passes over the same diagnostic model:
+Two static passes and one dynamic checker over the same diagnostic model:
 
 * :mod:`repro.analysis.graphlint` — static validation of MarketMiner
   graph specs (cycles, orphans, arity, rank budgets, tag collisions);
+* :mod:`repro.analysis.repolint` — every source rule from one parse
+  (:mod:`repro.analysis.deepcheck`): the snapshot()/restore() contract,
+  clock reads in component run scope, corr/backtest docstrings;
 * :mod:`repro.analysis.commcheck` + :mod:`repro.analysis.commtrace` +
   :mod:`repro.analysis.replay` — dynamic trace analysis over the MPI
   substrate (message leaks, wildcard-receive races with deterministic
-  replay confirmation, collective mismatches, sync-cycle deadlocks);
-* :mod:`repro.analysis.repolint` — AST rule pack the repository holds
-  its own sources to;
-* :mod:`repro.analysis.deepcheck` — interprocedural invariant analyzers
-  (snapshot/restore state coverage, determinism hazards, emit/handle
-  protocol vs. the graph spec), surfaced as ``repro analyze``.
+  replay confirmation, collective mismatches, sync-cycle deadlocks).
 
-All passes are surfaced through ``repro lint`` / ``repro analyze`` (see
-:mod:`repro.cli`).
+The static passes are ``repro lint`` (see :mod:`repro.cli`);
+:data:`repro.analysis.diagnostics.RULES` is their one rule table.
 """
 
 from repro.analysis.commcheck import (
@@ -39,22 +37,18 @@ from repro.analysis.commtrace import (
     TracedRun,
     run_traced,
 )
+from repro.analysis.deepcheck import ModuleIndex, check_state
 from repro.analysis.diagnostics import (
+    RULES,
     Diagnostic,
     DiagnosticReport,
     Location,
     Severity,
-)
-from repro.analysis.deepcheck import (
-    ModuleIndex,
-    check_determinism,
-    check_protocol,
-    check_state,
-    run_deepcheck,
+    list_rules,
 )
 from repro.analysis.graphlint import lint_graph
 from repro.analysis.replay import ReplayResult, replay_race
-from repro.analysis.repolint import lint_paths, lint_source, lint_tree
+from repro.analysis.repolint import lint_source, lint_tree
 
 __all__ = [
     "CollectiveEvent",
@@ -64,6 +58,7 @@ __all__ = [
     "DiagnosticReport",
     "Location",
     "ModuleIndex",
+    "RULES",
     "Race",
     "RankTrace",
     "RecvEvent",
@@ -73,9 +68,7 @@ __all__ = [
     "TimeoutEvent",
     "TracedRun",
     "check_collectives",
-    "check_determinism",
     "check_leaks",
-    "check_protocol",
     "check_state",
     "check_rank_errors",
     "check_sync_cycles",
@@ -83,10 +76,9 @@ __all__ = [
     "check_trace",
     "find_wildcard_races",
     "lint_graph",
-    "lint_paths",
     "lint_source",
     "lint_tree",
+    "list_rules",
     "replay_race",
-    "run_deepcheck",
     "run_traced",
 ]

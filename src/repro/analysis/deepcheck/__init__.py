@@ -1,165 +1,16 @@
-"""deepcheck — interprocedural invariant analyzers for the pipeline.
+"""deepcheck — the parsed-source substrate and the checkpoint contract.
 
-Three analyzers over one shared AST dataflow substrate (:mod:`core`):
+* :mod:`core` — :class:`ModuleIndex`: every module parsed once, class
+  resolution, the attribute-mutation model, bounded ``self.``-helper
+  closures;
+* :mod:`statecheck` — proves the snapshot()/restore() contract covers
+  every run-time-mutated attribute (recovery bitwiseness).
 
-* :mod:`statecheck` proves the snapshot()/restore() contract covers
-  every run-time-mutated attribute (recovery bitwiseness);
-* :mod:`detlint` flags nondeterminism hazards — ambient clock, global
-  random, OS entropy, set/dict ordering, env reads — reachability-scaled
-  (cross-backend identity);
-* :mod:`protocheck` cross-checks static emit/handle tag sets against a
-  :class:`~repro.marketminer.graph.GraphSpec` (graph liveness).
-
-``repro analyze`` is the CLI surface; audited-OK findings live in a
-committed :mod:`baseline` file.  See DESIGN.md "Static guarantees".
+Both run inside ``repro lint`` (:func:`repro.analysis.repolint.lint_index`).
+See DESIGN.md "Static guarantees".
 """
 
-from __future__ import annotations
-
-from repro.analysis.diagnostics import DiagnosticReport
-from repro.analysis.deepcheck.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    make_baseline,
-    save_baseline,
-)
 from repro.analysis.deepcheck.core import ModuleIndex
-from repro.analysis.deepcheck.detlint import check_determinism
-from repro.analysis.deepcheck.protocheck import check_protocol
 from repro.analysis.deepcheck.statecheck import check_state
 
-#: rule id -> (default severity label, one-line description).  The
-#: ``repro analyze --list-rules`` output and the docs render from this.
-RULES: dict[str, tuple[str, str]] = {
-    "state.snapshot-missing": (
-        "error",
-        "instance attribute mutated at run time but never read by snapshot()",
-    ),
-    "state.restore-missing": (
-        "error",
-        "attribute captured by snapshot() but never assigned by restore()",
-    ),
-    "state.key-unread": (
-        "error",
-        "snapshot dict key never read by restore() (protocol keys exempt)",
-    ),
-    "state.key-unknown": (
-        "error",
-        "restore() reads a key snapshot() never produces",
-    ),
-    "state.live-alias": (
-        "error",
-        "checkpoint aliases live mutable state (missing copy in "
-        "snapshot()/restore())",
-    ),
-    "det.wall-clock": (
-        "error/warning",
-        "wall/CPU clock read (time.*, datetime.now) — severity by "
-        "reachability from pipeline entry points",
-    ),
-    "det.unseeded-random": (
-        "error/warning",
-        "global random module use, or Random()/default_rng() without a seed",
-    ),
-    "det.entropy": (
-        "error/warning",
-        "OS entropy (os.urandom, uuid1/uuid4, secrets.*)",
-    ),
-    "det.set-order": (
-        "error/warning",
-        "ordering from set iteration, dict.popitem() or id()",
-    ),
-    "det.env-read": (
-        "error/warning",
-        "os.environ / os.getenv read",
-    ),
-    "proto.undeclared-emit": (
-        "error",
-        "code emits on a port the component never declared",
-    ),
-    "proto.dead-edge": (
-        "error",
-        "edge whose source class provably never emits on its source port",
-    ),
-    "proto.dropped-emit": (
-        "warning",
-        "statically-emitted port with no outbound edge (messages discarded)",
-    ),
-    "proto.silent-port": (
-        "warning",
-        "declared output port with no edges and no emits",
-    ),
-    "proto.unhandled-input": (
-        "error",
-        "closed on_message dispatch does not cover an inbound port",
-    ),
-    "proto.eos-gap": (
-        "error",
-        "input port with no inbound edge: end-of-stream never arrives",
-    ),
-    "proto.wait-cycle": (
-        "error",
-        "cycle through live edges (blocking-recv deadlock heuristic)",
-    ),
-    "proto.dynamic-emit": (
-        "info",
-        "emit on a computed port: emit-set analysis incomplete there",
-    ),
-    "baseline.stale": (
-        "info",
-        "baseline entry no longer matching any finding (re-audit needed)",
-    ),
-}
-
-ANALYZERS = ("state", "det", "proto")
-
-
-def run_deepcheck(
-    index: ModuleIndex,
-    workflow=None,
-    skip: tuple[str, ...] = (),
-) -> DiagnosticReport:
-    """Run all (non-skipped) analyzers over one index.
-
-    ``workflow`` feeds protocheck: a live :class:`Workflow`, or a
-    ``(GraphSpec, class_map)`` pair, or ``None`` to skip the graph
-    cross-check (pure source analysis).
-    """
-    report = DiagnosticReport()
-    if "state" not in skip:
-        report.extend(check_state(index))
-    if "det" not in skip:
-        report.extend(check_determinism(index))
-    if "proto" not in skip and workflow is not None:
-        if isinstance(workflow, tuple):
-            spec, class_map = workflow
-            report.extend(check_protocol(spec, index, class_map))
-        else:
-            report.extend(check_protocol(workflow, index))
-    return report
-
-
-def list_rules() -> str:
-    """The ``--list-rules`` text: one aligned row per rule."""
-    width = max(len(r) for r in RULES)
-    lines = [f"{rule:<{width}}  [{sev}]  {desc}"
-             for rule, (sev, desc) in sorted(RULES.items())]
-    return "\n".join(lines)
-
-
-__all__ = [
-    "ANALYZERS",
-    "ModuleIndex",
-    "RULES",
-    "apply_baseline",
-    "check_determinism",
-    "check_protocol",
-    "check_state",
-    "fingerprint",
-    "list_rules",
-    "load_baseline",
-    "make_baseline",
-    "run_deepcheck",
-    "save_baseline",
-]
+__all__ = ["ModuleIndex", "check_state"]

@@ -1,13 +1,14 @@
-"""The interprocedural AST dataflow substrate for the deepcheck analyzers.
+"""The AST substrate every source-level rule reads.
 
 Everything here is *bounded* static analysis: no symbolic execution, no
-type inference — just the structural facts the three analyzers need,
-computed from the AST and followed through a small call graph:
+type inference — just the structural facts the rules need, computed
+from one parse of each module:
 
 * :class:`ModuleIndex` — every module under a root, parsed once, with
-  per-module classes, functions and import aliases;
+  per-module classes, functions and import aliases (modules that do not
+  parse are kept as :attr:`ModuleIndex.syntax_errors`);
 * class method resolution (:meth:`ModuleIndex.resolved_methods`) walks
-  base classes *within the index* in MRO-ish order, so analyzers see
+  base classes *within the index* in MRO-ish order, so rules see
   inherited ``snapshot()``/helpers the way the runtime does;
 * a per-class **attribute-mutation model** (:func:`attr_mutations`)
   that recognises ``self.x = ...``, augmented assigns, ``del self.x``,
@@ -15,17 +16,12 @@ computed from the AST and followed through a small call graph:
   ``.update``, ``.setdefault``, ...);
 * bounded transitive closures over ``self``-method calls (and property
   reads), so facts established in helpers flow to the handler/snapshot
-  that reaches them — the "interprocedural" in the package docstring;
-* a repo-wide **call graph** (:meth:`ModuleIndex.call_graph`) with
-  name-resolution limited to what is statically unambiguous: bare calls
-  to same-module or ``from``-imported functions, ``self.method()``,
-  ``module.function()`` through import aliases, and ``ClassName(...)``
-  to ``__init__``.  :meth:`ModuleIndex.reachable_from` BFS-walks it with
-  a depth bound.
+  that reaches them;
+* :func:`resolved_call_name` — a call target's fully-qualified name
+  through the module's import tables.
 
 The model is deliberately conservative in both directions and the
-analyzers say so in their hints: what it cannot prove it either skips
-(dynamic emits) or reports for a human to baseline.
+rules say so in their hints: what it cannot prove it skips.
 """
 
 from __future__ import annotations
@@ -33,6 +29,13 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.analysis.diagnostics import (
+    Diagnostic,
+    Finding,
+    findings_to_diagnostics,
+    parse_suppressions,
+)
 
 #: Container-method names treated as mutations of their receiver.
 MUTATOR_METHODS = frozenset({
@@ -58,18 +61,6 @@ def base_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def dotted_name(node: ast.expr) -> str | None:
-    """``a.b.c`` as a dotted string, or None for non-name expressions."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def is_self_attr(node: ast.expr) -> str | None:
@@ -126,11 +117,8 @@ class ModuleInfo:
     from_imports: dict[str, tuple[str, str]] = field(default_factory=dict)
 
 
-def _index_module(relpath: str, text: str) -> ModuleInfo | None:
-    try:
-        tree = ast.parse(text, filename=relpath)
-    except SyntaxError:
-        return None
+def _index_module(relpath: str, text: str) -> ModuleInfo:
+    tree = ast.parse(text, filename=relpath)
     info = ModuleInfo(relpath=relpath, tree=tree, lines=text.splitlines())
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -167,8 +155,14 @@ def _index_module(relpath: str, text: str) -> ModuleInfo | None:
 class ModuleIndex:
     """All modules under one root, parsed once, with cross-module lookup."""
 
-    def __init__(self, modules: dict[str, ModuleInfo]):
+    def __init__(
+        self,
+        modules: dict[str, ModuleInfo],
+        syntax_errors: dict[str, SyntaxError] | None = None,
+    ):
         self.modules = modules
+        #: reported path -> the error, for modules that do not parse.
+        self.syntax_errors = syntax_errors or {}
         self.classes_by_name: dict[str, list[ClassInfo]] = {}
         for mod in modules.values():
             for cls in mod.classes.values():
@@ -181,11 +175,13 @@ class ModuleIndex:
     def from_sources(cls, sources: dict[str, str]) -> "ModuleIndex":
         """Index in-memory sources: {reported path: module text}."""
         modules = {}
+        syntax_errors = {}
         for relpath in sorted(sources):
-            info = _index_module(relpath, sources[relpath])
-            if info is not None:
-                modules[relpath] = info
-        return cls(modules)
+            try:
+                modules[relpath] = _index_module(relpath, sources[relpath])
+            except SyntaxError as exc:
+                syntax_errors[relpath] = exc
+        return cls(modules, syntax_errors)
 
     @classmethod
     def from_tree(cls, root: Path) -> "ModuleIndex":
@@ -371,129 +367,59 @@ class ModuleIndex:
                     changed = True
         return init_only
 
-    # -- call graph / reachability -------------------------------------------
-
-    def call_graph(self) -> dict[str, set[str]]:
-        """Static call edges between ``module.py::qualname`` nodes."""
-        edges: dict[str, set[str]] = {}
-        for relpath in sorted(self.modules):
-            mod = self.modules[relpath]
-            for fname, fn in mod.functions.items():
-                edges[f"{relpath}::{fname}"] = self._callees(mod, None, fn)
-            for cname, cls in mod.classes.items():
-                for mname, fn in cls.methods.items():
-                    edges[f"{relpath}::{cname}.{mname}"] = self._callees(
-                        mod, cls, fn
-                    )
-        return edges
-
-    def _callees(
-        self, mod: ModuleInfo, cls: ClassInfo | None, fn: ast.FunctionDef
-    ) -> set[str]:
-        out: set[str] = set()
-
-        def add_function(target_mod: ModuleInfo, name: str) -> None:
-            if name in target_mod.functions:
-                out.add(f"{target_mod.relpath}::{name}")
-            elif name in target_mod.classes:
-                out.add(f"{target_mod.relpath}::{name}.__init__")
-
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                name = func.id
-                if name in mod.from_imports:
-                    src_mod, original = mod.from_imports[name]
-                    target = self._module_by_name(src_mod)
-                    if target is not None:
-                        add_function(target, original)
-                else:
-                    add_function(mod, name)
-                    resolved = self.resolve_class(name, near=mod)
-                    if resolved is not None and name in mod.from_imports:
-                        pass
-            elif isinstance(func, ast.Attribute):
-                owner = func.value
-                if isinstance(owner, ast.Name) and owner.id == "self":
-                    if cls is not None:
-                        table = self.resolved_methods(cls, stop_at=None)
-                        hit = table.get(func.attr)
-                        if hit is not None:
-                            _fn, owner_cls = hit
-                            out.add(
-                                f"{owner_cls.module.relpath}::"
-                                f"{owner_cls.name}.{func.attr}"
-                            )
-                elif isinstance(owner, ast.Name):
-                    alias = mod.module_aliases.get(owner.id)
-                    if alias is not None:
-                        target = self._module_by_name(alias)
-                        if target is not None:
-                            add_function(target, func.attr)
-        return out
-
-    def _module_by_name(self, dotted: str) -> ModuleInfo | None:
-        """``repro.sge.scheduler`` → its ModuleInfo, when indexed."""
-        tail = dotted.replace(".", "/") + ".py"
-        for relpath in self.modules:
-            if relpath.endswith(tail):
-                return self.modules[relpath]
-        return None
-
-    def entry_points(self) -> set[str]:
-        """Seed nodes for reachability: the places execution enters.
-
-        Component handlers plus everything conventionally invoked by a
-        driver: ``run*``/``main``/``simulate`` functions and methods and
-        the CLI's ``_cmd_*`` handlers.
-        """
-        roots: set[str] = set()
-        handler_names = {
-            "generate", "on_message", "on_stop", "on_pause",
-            "snapshot", "restore", "result",
+    def run_scope(
+        self, cls: ClassInfo
+    ) -> dict[str, tuple[ast.FunctionDef, ClassInfo]]:
+        """The methods that execute while a component runs: everything
+        the class resolves to (inherited included) except ``__init__``
+        and the private helpers only it reaches."""
+        init_scope = {"__init__"} | self.init_only_methods(cls)
+        return {
+            name: hit
+            for name, hit in self.resolved_methods(cls, stop_at=None).items()
+            if name not in init_scope
         }
-        for relpath in sorted(self.modules):
-            mod = self.modules[relpath]
-            for fname in mod.functions:
-                if (
-                    fname.startswith("run")
-                    or fname.startswith("_cmd_")
-                    or fname in ("main", "simulate")
-                ):
-                    roots.add(f"{relpath}::{fname}")
-            for cname, cls in mod.classes.items():
-                is_comp = self.is_component(cls)
-                for mname in cls.methods:
-                    if (
-                        mname.startswith("run")
-                        or mname in ("main", "simulate")
-                        or (is_comp and mname in handler_names)
-                    ):
-                        roots.add(f"{relpath}::{cname}.{mname}")
-        return roots
 
-    def reachable_from(
-        self, roots: set[str], depth_limit: int = 20
-    ) -> set[str]:
-        """BFS closure over the call graph, depth-bounded."""
-        graph = self.call_graph()
-        reachable = set()
-        frontier = [(r, 0) for r in sorted(roots)]
-        while frontier:
-            node, depth = frontier.pop()
-            if node in reachable:
-                continue
-            reachable.add(node)
-            if depth >= depth_limit:
-                continue
-            for callee in graph.get(node, ()):
-                frontier.append((callee, depth + 1))
-        return reachable
+    # -- reporting -----------------------------------------------------------
+
+    def located(self, by_module: dict[str, list[Finding]]) -> list[Diagnostic]:
+        """Findings grouped by module path → diagnostics, each module's
+        own ``# repro-lint: disable=`` pragmas applied, in path order."""
+        out: list[Diagnostic] = []
+        for relpath in sorted(by_module):
+            suppressed = parse_suppressions(self.modules[relpath].lines)
+            out.extend(
+                findings_to_diagnostics(by_module[relpath], relpath, suppressed)
+            )
+        return out
 
 
 # -- per-function AST facts ---------------------------------------------------
+
+
+def resolved_call_name(mod: ModuleInfo, func: ast.expr) -> str | None:
+    """The fully-qualified name of a call target, via import tables.
+
+    ``time.perf_counter()`` under ``import time`` → ``time.perf_counter``;
+    ``perf_counter()`` under ``from time import perf_counter`` → same;
+    ``datetime.now()`` under ``from datetime import datetime`` →
+    ``datetime.datetime.now``.  ``None`` for anything whose root is not a
+    known import (method calls on local objects never match, so
+    ``self.clock.time()`` resolves to nothing).
+    """
+    parts: list[str] = []
+    node = func
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.reverse()
+    if node.id in mod.module_aliases:
+        return ".".join([mod.module_aliases[node.id], *parts])
+    if node.id in mod.from_imports:
+        return ".".join([*mod.from_imports[node.id], *parts])
+    return None
 
 
 def attr_assignments(fn: ast.FunctionDef) -> set[str]:
@@ -610,30 +536,6 @@ def mutable_attrs(index: ModuleIndex, cls: ClassInfo) -> set[str]:
                     and func.attr in MUTATOR_METHODS
                 ):
                     attr = is_self_attr(func.value)
-                    if attr is not None:
-                        out.add(attr)
-    return out
-
-
-def ordered_dict_attrs(cls: ClassInfo) -> set[str]:
-    """Attrs initialised to an ``OrderedDict`` in the class's own
-    ``__init__`` — their ``popitem`` is FIFO/LIFO-deterministic."""
-    fn = cls.methods.get("__init__")
-    if fn is None:
-        return set()
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            value = node.value
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            if (
-                isinstance(value, ast.Call)
-                and base_name(value.func) == "OrderedDict"
-            ):
-                for target in targets:
-                    attr = is_self_attr(target)
                     if attr is not None:
                         out.add(attr)
     return out

@@ -21,28 +21,21 @@ structural half of that statically, per :class:`Component` subclass:
   the checkpoint then aliases live state and a later mutation (or a
   second restore attempt) corrupts it.
 
-Classes that never override ``snapshot()`` are skipped: stateless (or
-knowingly unrecoverable) components are the runtime's concern, not
-statecheck's — the graph runtime rejects stateful components without
-snapshots dynamically.
+The class-level case comes first: ``repo.stateful-snapshot`` — a
+component that carries run state (mutates an attribute in run scope, or
+owns a mutable container) without implementing both ``snapshot()`` and
+``restore()``; the supervisor would silently lose its state across a
+recovery.  A class with no ``snapshot()`` gets no further checks.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    Finding,
-    Severity,
-    findings_to_diagnostics,
-    parse_suppressions,
-)
+from repro.analysis.diagnostics import Diagnostic, Finding, Severity
 from repro.analysis.deepcheck.core import (
     ClassInfo,
     ModuleIndex,
-    base_name,
-    is_mutable_ctor,
     is_self_attr,
     mutable_attrs,
 )
@@ -50,34 +43,6 @@ from repro.analysis.deepcheck.core import (
 #: Snapshot keys read by the *supervisor*, not by ``restore()`` — the
 #: checkpoint protocol's out-of-band channel (epoch watermarks).
 PROTOCOL_KEYS = frozenset({"watermark"})
-
-#: Handler/lifecycle methods never treated as run-state mutators' roots.
-_NON_RUN_METHODS = frozenset({"__init__", "snapshot", "restore"})
-
-#: Call names that take a copy of their argument (break aliasing).
-_COPY_CALLS = frozenset({
-    "dict", "list", "set", "tuple", "frozenset", "sorted", "bytearray",
-    "deque", "OrderedDict", "defaultdict", "Counter", "copy", "deepcopy",
-})
-
-
-def _is_copying(expr: ast.expr) -> bool:
-    """Does this expression produce a fresh object (no aliasing)?"""
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        if base_name(func) in _COPY_CALLS:
-            return True
-        # self.x.copy() / state["k"].copy()
-        if isinstance(func, ast.Attribute) and func.attr == "copy":
-            return True
-        return True  # any other call returns a new value as far as we know
-    if isinstance(expr, (ast.Dict, ast.List, ast.Set, ast.Tuple)):
-        return True
-    if isinstance(expr, (ast.DictComp, ast.ListComp, ast.SetComp)):
-        return True
-    if isinstance(expr, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.IfExp)):
-        return True
-    return False
 
 
 def _snapshot_dict_items(fn: ast.FunctionDef) -> list[tuple[str, ast.expr, int]] | None:
@@ -206,20 +171,28 @@ def _restore_alias_assigns(
 def check_class(index: ModuleIndex, cls: ClassInfo) -> list[Finding]:
     """All statecheck findings for one Component subclass."""
     methods = index.resolved_methods(cls, stop_at="Component")
-    if "snapshot" not in methods:
-        return []
     findings: list[Finding] = []
-    snapshot_fn, snapshot_owner = methods["snapshot"]
-    restore_hit = methods.get("restore")
-
-    init_scope = _NON_RUN_METHODS | index.init_only_methods(cls)
-    run_roots = [m for m in index.resolved_methods(cls, stop_at=None)
-                 if m not in init_scope]
+    run_roots = [m for m in index.run_scope(cls)
+                 if m not in ("snapshot", "restore")]
     mutated = index.attrs_mutated_transitive(cls, run_roots)
-    snap_reads = index.attrs_read_transitive(cls, ["snapshot"])
     mutable = mutable_attrs(index, cls)
-
     cls_line = cls.lineno
+
+    if not {"snapshot", "restore"} <= set(methods) and (mutated or mutable):
+        sample = ", ".join(sorted(mutated | mutable)[:4])
+        findings.append(Finding(
+            "repo.stateful-snapshot", Severity.ERROR, cls_line,
+            f"stateful component {cls.name} (mutates {sample}) does not "
+            f"implement both snapshot() and restore()",
+            hint="implement both so checkpoint/restart recovery preserves "
+                 "the component's state, or suppress on the class line if "
+                 "the state is genuinely derivable",
+        ))
+    if "snapshot" not in methods:
+        return findings
+    snapshot_fn, _ = methods["snapshot"]
+    restore_hit = methods.get("restore")
+    snap_reads = index.attrs_read_transitive(cls, ["snapshot"])
 
     for attr in sorted(mutated - snap_reads):
         findings.append(Finding(
@@ -291,8 +264,6 @@ def check_class(index: ModuleIndex, cls: ClassInfo) -> list[Finding]:
                 hint="copy the value out of the state dict "
                      "(dict(...)/list(...)/copy.deepcopy)",
             ))
-    # Only report each (rule, line, message) once even when inherited
-    # methods are analyzed for several subclasses of one base.
     return findings
 
 
@@ -300,17 +271,7 @@ def check_state(index: ModuleIndex) -> list[Diagnostic]:
     """Run statecheck over every Component subclass in the index."""
     by_module: dict[str, list[Finding]] = {}
     for cls in index.component_classes():
-        for f in check_class(index, cls):
-            by_module.setdefault(cls.module.relpath, []).append(f)
-    out: list[Diagnostic] = []
-    for relpath in sorted(by_module):
-        mod = index.modules[relpath]
-        suppressed = parse_suppressions(mod.lines)
-        diags = findings_to_diagnostics(by_module[relpath], relpath, suppressed)
-        seen: set[tuple] = set()
-        for d in diags:
-            key = (d.rule, str(d.location), d.message)
-            if key not in seen:
-                seen.add(key)
-                out.append(d)
-    return out
+        by_module.setdefault(cls.module.relpath, []).extend(
+            check_class(index, cls)
+        )
+    return index.located(by_module)

@@ -1,26 +1,23 @@
 """The shared diagnostic model for every analysis pass.
 
-All checkers — the graph linter, the dynamic comm checker, the repo-wide
-AST lint and the deepcheck analyzers — report through one vocabulary: a
-:class:`Diagnostic` carries a stable rule id (``pass.rule`` form, e.g.
-``graph.cycle`` or ``state.snapshot-missing``), a :class:`Severity`, a
-:class:`Location` naming where the defect lives (a file line, a graph
-element, or a rank/event), a message, and an optional fix hint.
-``repro lint`` and ``repro analyze`` render and aggregate them uniformly,
-and tests assert on rule ids instead of message text.
+All checkers — the graph linter, the dynamic comm checker and the
+source rules — report through one vocabulary: a :class:`Diagnostic`
+carries a stable rule id (``family.rule`` form, e.g. ``graph.cycle`` or
+``state.snapshot-missing``), a :class:`Severity`, a :class:`Location`
+naming where the defect lives (a file line, a graph element, or a
+rank/event), a message, and an optional fix hint.  ``repro lint``
+renders and aggregates them, and tests assert on rule ids instead of
+message text.  :data:`RULES` is the one catalogue of the static ids
+(``repro lint --list-rules``).
 
-This module also hosts the machinery every *source-level* linter shares,
-so suppression syntax and output formats are identical across repolint
-and the deepcheck analyzers:
+This module also hosts what every *source-level* rule shares:
 
 * :class:`Finding` — a pre-:class:`Diagnostic` working record (rule,
   severity, line, message, hint) that rule implementations yield;
 * :func:`parse_suppressions` — the ``# repro-lint: disable=<rule>``
-  pragma parser (one syntax for every linter);
+  pragma parser, the only suppression mechanism;
 * :func:`findings_to_diagnostics` — applies the pragmas and converts the
-  surviving findings to located diagnostics in one deterministic order;
-* :func:`report_to_json` — the ``--format json`` / ``--json`` document
-  shape shared by every CLI surface.
+  surviving findings to located diagnostics in one deterministic order.
 """
 
 from __future__ import annotations
@@ -91,23 +88,6 @@ class Diagnostic:
             line += f"\n    hint: {self.hint}"
         return line
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (used by ``repro lint --format json``)."""
-        loc = {
-            k: v
-            for k, v in vars(self.location).items()
-            if v is not None
-        }
-        out = {
-            "rule": self.rule,
-            "severity": str(self.severity),
-            "location": loc,
-            "message": self.message,
-        }
-        if self.hint:
-            out["hint"] = self.hint
-        return out
-
 
 @dataclass
 class DiagnosticReport:
@@ -168,7 +148,71 @@ class DiagnosticReport:
         )
 
 
-# -- shared source-linter machinery -----------------------------------------
+#: Every rule id ``repro lint`` can emit -> (severity, what fires it).
+#: ``--list-rules`` prints this; a test holds it equal to the ids the
+#: checkers' sources mention.
+RULES: dict[str, tuple[str, str]] = {
+    "graph.empty": ("error", "the spec declares no components"),
+    "graph.no-source": ("error", "no component with zero input ports exists"),
+    "graph.cycle": ("error", "the component digraph contains a cycle"),
+    "graph.unknown-endpoint": (
+        "error", "an edge references an unknown component or port"),
+    "graph.duplicate-edge": (
+        "error", "two edges share (src, src_port, dst, dst_port)"),
+    "graph.missing-input": (
+        "error", "an input port has no inbound edge: end-of-stream never "
+        "arrives"),
+    "graph.fan-in": (
+        "error", "inbound edges on a port exceed its declared cap"),
+    "graph.fan-out": (
+        "error", "outbound edges on a port exceed its declared cap"),
+    "graph.tag-bounds": ("error", "an edge declares a negative MPI tag"),
+    "graph.tag-collision": (
+        "error", "two logical edges share a placement channel (src rank -> "
+        "dst rank) and an explicit tag"),
+    "graph.unreachable": (
+        "warning", "a component is unreachable from every source"),
+    "graph.rank-budget": (
+        "warning", "a rank's accumulated weight exceeds --rank-budget"),
+    "graph.idle-ranks": (
+        "warning", "the placement leaves ranks with no component"),
+    "state.snapshot-missing": (
+        "error", "instance attribute mutated at run time but never read by "
+        "snapshot()"),
+    "state.restore-missing": (
+        "error", "attribute captured by snapshot() but never assigned by "
+        "restore()"),
+    "state.key-unread": (
+        "error", "snapshot dict key never read by restore() (protocol keys "
+        "exempt)"),
+    "state.key-unknown": (
+        "error", "restore() reads a key snapshot() never produces"),
+    "state.live-alias": (
+        "error", "checkpoint aliases live mutable state (missing copy in "
+        "snapshot()/restore())"),
+    "repo.stateful-snapshot": (
+        "error", "a Component carries run state but does not implement both "
+        "snapshot() and restore()"),
+    "repo.wall-clock": (
+        "error", "a Component's run scope (handlers, snapshot/restore/result "
+        "and the self. helpers they reach) reads a wall/CPU clock"),
+    "repo.public-docstring": (
+        "error", "a module under repro/corr/ or repro/backtest/, or a public "
+        "class/function/method there, has no docstring"),
+    "repo.syntax": ("error", "a module does not parse"),
+}
+
+
+def list_rules() -> str:
+    """The ``--list-rules`` text: one aligned row per rule."""
+    width = max(len(r) for r in RULES)
+    return "\n".join(
+        f"{rule:<{width}}  [{sev}]  {desc}"
+        for rule, (sev, desc) in sorted(RULES.items())
+    )
+
+
+# -- shared source-rule machinery -------------------------------------------
 
 #: The one suppression pragma every source linter honours:
 #: ``# repro-lint: disable=<rule>[,<rule>...]`` or ``disable=all``.
@@ -176,7 +220,7 @@ SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([\w.,\s-]+)")
 
 
 class Finding:
-    """A rule hit before it is located: what repolint/deepcheck rules yield.
+    """A rule hit before it is located: what the source rules yield.
 
     Rule implementations produce :class:`Finding` rows (line-relative,
     path-agnostic); :func:`findings_to_diagnostics` applies suppression
@@ -230,19 +274,3 @@ def findings_to_diagnostics(
             )
         )
     return out
-
-
-def report_to_json(report: DiagnosticReport, **extra) -> dict:
-    """The JSON document shape shared by ``repro lint`` and ``repro analyze``."""
-    doc = {
-        "schema": "repro.analysis/v1",
-        "diagnostics": [d.to_dict() for d in report.sorted()],
-        "summary": {
-            "total": len(report),
-            "errors": report.errors,
-            "warnings": report.warnings,
-            "info": report.count(Severity.INFO),
-        },
-    }
-    doc.update(extra)
-    return doc

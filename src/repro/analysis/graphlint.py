@@ -5,25 +5,8 @@ view (``Workflow.spec()``), so it can diagnose graphs that ``Workflow``
 itself would refuse to construct — the linter's job is to report *every*
 defect in a hand-written or generated spec, not to stop at the first.
 
-Rule catalogue (all ids prefixed ``graph.``):
-
-====================  ========  ====================================================
-rule                  severity  fires when
-====================  ========  ====================================================
-graph.empty           error     the spec declares no components
-graph.no-source       error     no component with zero input ports exists
-graph.cycle           error     the component digraph contains a cycle
-graph.unknown-endpoint error    an edge references an unknown component or port
-graph.duplicate-edge  error     two edges share (src, src_port, dst, dst_port)
-graph.missing-input   error     an input port has no inbound edge
-graph.fan-in          error     inbound edges on a port exceed its declared cap
-graph.fan-out         error     outbound edges on a port exceed its declared cap
-graph.tag-bounds      error     an edge declares a negative MPI tag
-graph.tag-collision   error     two logical edges share a placement channel
-                                (src rank → dst rank) and an explicit tag
-graph.rank-budget     warning   a rank's accumulated weight exceeds the budget
-graph.idle-ranks      warning   the placement leaves ranks with no component
-====================  ========  ====================================================
+The thirteen ``graph.*`` rules are listed in
+:data:`repro.analysis.diagnostics.RULES` (``repro lint --list-rules``).
 
 The placement-dependent rules (tag-collision, rank-budget, idle-ranks)
 only run when a rank count is supplied; tag-collision additionally only

@@ -97,16 +97,22 @@ class DistributedBacktester:
             for day in days:
                 with obs.trace.span("day", day=day):
                     # Stage 1: master prepares bars, broadcasts market-wide
-                    # data.
+                    # data — or the reason the day has none, so every rank
+                    # raises it at once instead of waiting out a timeout.
                     with obs.trace.span("bcast_bars"):
+                        bundle = None
                         if comm.rank == 0:
-                            bundle = (
-                                self.provider.prices(day),
-                                self.provider.returns(day),
-                            )
-                        else:
-                            bundle = None
-                        prices, returns = comm.bcast(bundle, root=0)
+                            try:
+                                bundle = (
+                                    self.provider.prices(day),
+                                    self.provider.returns(day),
+                                )
+                            except ValueError as exc:
+                                bundle = exc
+                        bundle = comm.bcast(bundle, root=0)
+                        if isinstance(bundle, ValueError):
+                            raise bundle
+                        prices, returns = bundle
                     smax = prices.shape[0]
 
                     # Stage 2: each correlation series computed exactly once,

@@ -10,8 +10,7 @@ One executable, ``repro``, with a subcommand per common workflow::
     repro chaos --plan crash-mid      # chaos-test a supervised session
     repro screen --symbols 12         # candidate-pair screening funnel
     repro stats obs.json              # render a telemetry report
-    repro lint --strict               # graph-spec lint + repo AST lint
-    repro analyze --strict            # deepcheck invariant analyzers
+    repro lint --strict               # graph-spec lint + source rules
     repro store ingest --root DIR     # build a partitioned tick store
     repro store verify --root DIR     # checksum (and --deep re-derive) it
     repro store scan --root DIR       # pushdown column scans over it
@@ -509,156 +508,38 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_workflow(args: argparse.Namespace):
-    """A small Figure-1 workflow whose spec the graph linter validates."""
-    return _build_figure1_from_args(args)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.analysis import DiagnosticReport, lint_graph, lint_tree
-
-    report = DiagnosticReport()
-    if not args.skip_graph:
-        spec = _lint_workflow(args).spec()
-        report.extend(
-            lint_graph(spec, size=args.ranks, rank_budget=args.rank_budget)
-        )
-    if not args.skip_repo:
-        root = Path(args.root) if args.root else None
-        if root is None:
-            import repro
-
-            root = Path(repro.__file__).resolve().parent
-        if not root.exists():
-            print(f"repo lint root not found: {root}", file=sys.stderr)
-            return 2
-        for diag in lint_tree(root):
-            report.add(diag)
-    print(report.render())
-    if args.strict:
-        _print_deepcheck_summary(args)
-    failed = report.errors > 0 or (args.strict and report.warnings > 0)
-    return 1 if failed else 0
-
-
-def _print_deepcheck_summary(args: argparse.Namespace) -> None:
-    """One-line deepcheck rollup under ``repro lint --strict``.
-
-    Informational only — never changes lint's exit code.  Uses
-    ``analysis_baseline.json`` from the working directory when present,
-    so a clean repo prints a clean line.
-    """
-    from pathlib import Path
-
-    from repro.analysis.deepcheck import (
-        ModuleIndex,
-        apply_baseline,
-        load_baseline,
-        run_deepcheck,
-    )
-
-    root = Path(args.root) if args.root else None
-    if root is None:
-        import repro
-
-        root = Path(repro.__file__).resolve().parent
-    index = ModuleIndex.from_tree(root)
-    workflow = None if args.skip_graph else _lint_workflow(args)
-    report = run_deepcheck(index, workflow=workflow)
-    baseline_path = Path("analysis_baseline.json")
-    n_baseline = 0
-    if baseline_path.exists():
-        doc = load_baseline(baseline_path)
-        n_baseline = len(doc.get("entries", []))
-        report, _stale = apply_baseline(report, doc, index)
-    print(
-        f"deepcheck: {report.errors} error(s), {report.warnings} "
-        f"warning(s) beyond baseline ({n_baseline} baselined) — "
-        f"see `repro analyze`"
-    )
-
-
-def _analyze_workflow(args: argparse.Namespace):
-    """The workflow protocheck cross-checks: ``--graph mod:fn`` or Figure-1.
-
-    A ``--graph`` provider function returns either a live ``Workflow`` or
-    a ``(GraphSpec, class_map)`` pair (class_map: component name → class
-    name), which is how tests feed deliberately-broken specs through the
-    CLI.
-    """
-    if args.graph:
-        import importlib
-
-        mod_name, _, fn_name = args.graph.partition(":")
-        if not fn_name:
-            raise ValueError("--graph takes MODULE:FUNCTION")
-        provider = getattr(importlib.import_module(mod_name), fn_name)
-        return provider()
-    return _build_figure1_from_args(args)
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from repro.analysis.deepcheck import (
-        ModuleIndex,
-        apply_baseline,
+    from repro.analysis import (
+        DiagnosticReport,
+        lint_graph,
+        lint_tree,
         list_rules,
-        load_baseline,
-        make_baseline,
-        run_deepcheck,
-        save_baseline,
     )
-    from repro.analysis.diagnostics import report_to_json
 
     if args.list_rules:
         print(list_rules())
         return 0
-
-    root = Path(args.root) if args.root else None
-    if root is None:
+    if args.root:
+        root = Path(args.root)
+    else:
         import repro
 
         root = Path(repro.__file__).resolve().parent
     if not root.exists():
-        print(f"analyze root not found: {root}", file=sys.stderr)
+        print(f"lint root not found: {root}", file=sys.stderr)
         return 2
 
-    skip = tuple(args.skip or ())
-    index = ModuleIndex.from_tree(root)
-    workflow = None
-    if "proto" not in skip:
-        try:
-            workflow = _analyze_workflow(args)
-        except (ImportError, AttributeError, ValueError) as exc:
-            print(f"analyze: cannot build workflow: {exc}", file=sys.stderr)
-            return 2
-    report = run_deepcheck(index, workflow=workflow, skip=skip)
-
-    if args.update_baseline:
-        if not args.baseline:
-            print("--update-baseline requires --baseline PATH",
-                  file=sys.stderr)
-            return 2
-        previous = load_baseline(args.baseline)
-        doc = make_baseline(report, index, previous=previous)
-        save_baseline(doc, args.baseline)
-        print(f"baseline written: {len(doc['entries'])} entr(y/ies) to "
-              f"{args.baseline} (hand-edit the justifications)")
-        return 0
-
-    if args.baseline:
-        report, _stale = apply_baseline(
-            report, load_baseline(args.baseline), index
+    report = DiagnosticReport()
+    if not args.skip_graph:
+        spec = _build_figure1_from_args(args).spec()
+        report.extend(
+            lint_graph(spec, size=args.ranks, rank_budget=args.rank_budget)
         )
-
-    if args.json:
-        print(_json.dumps(report_to_json(report, root=str(root)), indent=2))
-    else:
-        print(report.render())
+    if not args.skip_repo:
+        report.extend(lint_tree(root))
+    print(report.render())
     failed = report.errors > 0 or (args.strict and report.warnings > 0)
     return 1 if failed else 0
 
@@ -997,7 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="static checks: graph lint on the Figure-1 spec + repo AST lint",
+        help="static checks: graph lint on the Figure-1 spec + the source "
+        "rules over one parse of the tree",
     )
     _add_market_args(p, symbols=6)
     p.add_argument("--ranks", type=int, default=2,
@@ -1007,44 +889,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-budget", type=float, default=None,
                    help="flag ranks whose placed weight exceeds this budget")
     p.add_argument("--root", metavar="DIR", default=None,
-                   help="repo-lint this tree (default: the installed "
+                   help="lint this tree (default: the installed "
                    "repro package)")
     p.add_argument("--skip-graph", action="store_true",
                    help="skip the graph-spec lint pass")
     p.add_argument("--skip-repo", action="store_true",
-                   help="skip the repo AST lint pass")
+                   help="skip the source-rule pass")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on warnings, not just errors")
-
-    p = sub.add_parser(
-        "analyze",
-        help="deepcheck: interprocedural state/determinism/protocol "
-        "analyzers",
-    )
-    _add_market_args(p, symbols=6)
-    p.add_argument("--engines", type=int, default=1,
-                   help="parallel correlation engines in the checked spec")
-    p.add_argument("--root", metavar="DIR", default=None,
-                   help="analyze this tree (default: the installed repro "
-                   "package)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings, not just errors")
-    p.add_argument("--json", action="store_true",
-                   help="emit the repro.analysis/v1 JSON document")
-    p.add_argument("--baseline", metavar="PATH", default=None,
-                   help="subtract audited-OK findings recorded in this "
-                   "baseline file")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite --baseline to cover every current finding "
-                   "(justifications preserved by fingerprint)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
-    p.add_argument("--skip", action="append", default=None,
-                   choices=("state", "det", "proto"),
-                   help="skip an analyzer (repeatable)")
-    p.add_argument("--graph", metavar="MODULE:FUNCTION", default=None,
-                   help="protocheck this workflow provider instead of the "
-                   "built-in Figure-1 spec")
 
     p = sub.add_parser(
         "store", help="partitioned columnar tick store (ingest/ls/verify/scan)"
@@ -1139,7 +993,6 @@ _COMMANDS = {
     "screen": _cmd_screen,
     "stats": _cmd_stats,
     "lint": _cmd_lint,
-    "analyze": _cmd_analyze,
     "store": _cmd_store,
     "serve": _cmd_serve,
 }

@@ -2,8 +2,8 @@
 
 Where ``repro.obs`` reports *after* a session, this package observes it
 *while it runs*, under a strict bounded-memory discipline (everything
-retained lives in a preallocated ring; the ``repo.obs-bounded`` lint
-rule enforces it):
+retained lives in a preallocated ring; ``test_ring_capacity_bounds_memory``
+and ``test_ring_bounds_memory_but_keeps_stream_indices`` pin it):
 
 * :mod:`~repro.obs.live.rings` — preallocated series/event ring buffers;
 * :mod:`~repro.obs.live.sampler` — interval snapshots of the registry

@@ -161,7 +161,7 @@ class HealthMonitor:
         if isinstance(rule, str):
             rule = HealthRule.parse(rule, name=name)
         # Add-once rule configuration, not per-tick telemetry.
-        self.rules.append(rule)  # repro-lint: disable=repo.obs-bounded
+        self.rules.append(rule)
 
     def evaluate(self, sampler, now: float) -> list[HealthEvent]:
         """Check every rule against the sampler; return transition events."""

@@ -15,7 +15,7 @@ pipelines, day boundaries for backtests) — so a paused, killed or even
 wedged session can never stall another tenant's request.
 
 Everything a session accumulates per request is bounded or ring-backed
-(the ``repo.serve-bounded`` lint rule enforces this): the audit log is a
+(``tests/test_serve_sessions.py`` pins each bound): the audit log is a
 last-``audit_capacity`` :class:`~repro.obs.live.rings.EventRing` whose
 ``n_seen`` keeps the append-only sequence numbering even after old
 entries rotate out, the command queue rejects (HTTP 429) instead of
@@ -863,7 +863,7 @@ class SessionManager:
                 )
             # Growth is capped by the watchlist_users check above; existing
             # users only ever replace their entry.
-            self._watchlists[user] = tuple(symbols)  # repro-lint: disable=repo.serve-bounded
+            self._watchlists[user] = tuple(symbols)
         return {"user": user, "symbols": list(symbols)}
 
     def watchlist(self, user: str) -> dict:

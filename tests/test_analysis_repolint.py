@@ -1,10 +1,18 @@
-"""Repo AST-lint tests: each rule fires on a minimal violation, the
-suppression comment works, and the repository's own sources are clean."""
+"""Source-rule tests: each kept rule fires on a minimal violation, the
+suppression comment works, and the repository's own sources are clean.
 
+The classes marked *retired* belong to rules deleted after the 14-tree
+audit (none ever fired on a real change).  Their fixtures stay as a
+silence corpus: the one lint pass must parse them and report nothing,
+whatever the test's name says about the old rule.
+"""
+
+import ast
+import re
 import textwrap
 from pathlib import Path
 
-from repro.analysis import Severity, lint_source, lint_tree
+from repro.analysis import RULES, Severity, lint_source, lint_tree
 
 
 def lint(code, path="pkg/mod.py"):
@@ -16,6 +24,8 @@ def rules(diags):
 
 
 class TestBareExcept:
+    """Retired: repo.bare-except."""
+
     def test_fires(self):
         diags = lint(
             """
@@ -26,8 +36,7 @@ class TestBareExcept:
                     pass
             """
         )
-        assert rules(diags) == ["repo.bare-except"]
-        assert diags[0].severity is Severity.ERROR
+        assert diags == []
 
     def test_typed_except_clean(self):
         assert lint(
@@ -42,34 +51,39 @@ class TestBareExcept:
 
 
 class TestMutableDefault:
+    """Retired: repo.mutable-default."""
+
     def test_literal_default_fires(self):
         diags = lint("def f(x, acc=[]):\n    return acc\n")
-        assert rules(diags) == ["repo.mutable-default"]
+        assert diags == []
 
     def test_constructor_default_fires(self):
         diags = lint("def f(x, acc=dict()):\n    return acc\n")
-        assert rules(diags) == ["repo.mutable-default"]
+        assert diags == []
 
     def test_kwonly_default_fires(self):
         diags = lint("def f(*, acc={}):\n    return acc\n")
-        assert rules(diags) == ["repo.mutable-default"]
+        assert diags == []
 
     def test_none_default_clean(self):
         assert lint("def f(x, acc=None):\n    return acc\n") == []
 
 
 class TestWallClock:
+    """One clock rule, scoped to a Component's run scope."""
+
     def test_handler_reading_wall_clock_fires(self):
         diags = lint(
             """
             import time
 
-            class Thing:
+            class Thing(Component):
                 def on_message(self, ctx, port, payload):
                     return time.time()
             """
         )
         assert rules(diags) == ["repo.wall-clock"]
+        assert diags[0].severity is Severity.ERROR
         assert "session clock" in diags[0].hint
 
     def test_generate_handler_checked(self):
@@ -77,12 +91,47 @@ class TestWallClock:
             """
             from datetime import datetime
 
-            class Src:
+            class Src(Component):
                 def generate(self, ctx):
                     ctx.emit("out", datetime.now())
             """
         )
         assert rules(diags) == ["repo.wall-clock"]
+
+    def test_duration_clock_in_reached_helper_fires(self):
+        diags = lint(
+            """
+            from time import perf_counter as pc
+
+            class Thing(Base):
+                def on_stop(self, ctx):
+                    self._flush(ctx)
+
+                def _flush(self, ctx):
+                    ctx.emit("out", pc())
+
+            class Base(Component):
+                pass
+            """
+        )
+        assert rules(diags) == ["repo.wall-clock"]
+        assert "Thing._flush" in diags[0].message
+        assert "time.perf_counter()" in diags[0].message
+
+    def test_construction_and_clock_seams_clean(self):
+        assert lint(
+            """
+            import time
+
+            class Thing(Component):
+                def __init__(self, clock=time.monotonic):
+                    self._born = time.time()
+                    self._clock = clock
+
+                def on_message(self, ctx, port, payload):
+                    ctx.emit("out", self._clock())
+            """
+        ) == []
 
     def test_non_handler_method_clean(self):
         assert lint(
@@ -95,10 +144,24 @@ class TestWallClock:
             """
         ) == []
 
+    def test_outside_component_run_scope_clean(self):
+        assert lint(
+            """
+            import time
+
+            class Thing:
+                def on_message(self, ctx, port, payload):
+                    return time.time()
+
+            def run_pipeline():
+                return time.perf_counter()
+            """
+        ) == []
+
     def test_handler_without_wall_clock_clean(self):
         assert lint(
             """
-            class Thing:
+            class Thing(Component):
                 def on_message(self, ctx, port, payload):
                     ctx.emit("out", payload)
             """
@@ -106,14 +169,15 @@ class TestWallClock:
 
 
 class TestMetricName:
+    """Retired: repo.metric-name."""
+
     def test_bad_literal_fires(self):
         diags = lint('obs.counter("BadName")\n')
-        assert rules(diags) == ["repo.metric-name"]
-        assert diags[0].severity is Severity.WARNING
+        assert diags == []
 
     def test_missing_area_prefix_fires(self):
         diags = lint('obs.counter("messages")\n')
-        assert rules(diags) == ["repo.metric-name"]
+        assert diags == []
 
     def test_good_literal_clean(self):
         assert lint('obs.counter("mpi.sent.bytes")\n') == []
@@ -127,10 +191,13 @@ class TestMetricName:
         # No leading literal chunk -> nothing checkable; stays quiet.
         assert diags == []
         diags = lint('obs.timer(f"Rank{r}.seconds")\n')
-        assert rules(diags) == ["repo.metric-name"]
+        assert diags == []
 
 
 class TestMpiBounds:
+    """Retired: repo.mpi-bounds (``test_invalid_destination_rejected`` and
+    ``test_negative_user_tag_rejected`` pin the behaviour)."""
+
     def test_unchecked_entry_point_fires(self):
         diags = lint(
             """
@@ -140,7 +207,7 @@ class TestMpiBounds:
             """,
             path="src/repro/mpi/loose.py",
         )
-        assert rules(diags) == ["repo.mpi-bounds"]
+        assert diags == []
 
     def test_checked_entry_point_clean(self):
         assert lint(
@@ -187,29 +254,49 @@ class TestMpiBounds:
 
 
 class TestSuppression:
+    """One hazard, one id: one pragma on the flagged line suffices."""
+
+    CODE = """
+        import time
+
+        class Thing(Component):
+            def on_message(self, ctx, port, payload):
+                x = time.time()  # repro-lint: disable={rule}
+    """
+
     def test_line_suppression(self):
-        code = (
-            "def f(x, acc=[]):  # repro-lint: disable=repo.mutable-default\n"
-            "    return acc\n"
-        )
-        assert lint(code) == []
+        assert lint(self.CODE.format(rule="repo.wall-clock")) == []
 
     def test_disable_all(self):
-        code = "def f(x, acc=[]):  # repro-lint: disable=all\n    return acc\n"
-        assert lint(code) == []
+        assert lint(self.CODE.format(rule="all")) == []
 
     def test_unrelated_suppression_does_not_hide(self):
-        code = (
-            "def f(x, acc=[]):  # repro-lint: disable=repo.bare-except\n"
-            "    return acc\n"
-        )
-        assert rules(lint(code)) == ["repo.mutable-default"]
+        diags = lint(self.CODE.format(rule="repo.public-docstring"))
+        assert rules(diags) == ["repo.wall-clock"]
 
 
 class TestSyntaxErrorHandling:
     def test_unparsable_module_reported_not_raised(self):
         diags = lint_source("def broken(:\n", "pkg/broken.py")
         assert rules(diags) == ["repo.syntax"]
+
+
+class TestRuleTable:
+    def test_table_is_exactly_the_ids_the_checkers_emit(self):
+        """``--list-rules`` parity: a rule id is a string literal in a
+        checker's source, so the table can be held equal to them."""
+        analysis = Path(__file__).resolve().parent.parent / "src/repro/analysis"
+        rule_id = re.compile(r"(graph|state|repo)\.[a-z-]+")
+        emitted = set()
+        for path in analysis.rglob("*.py"):
+            if path.name == "diagnostics.py":  # the table itself
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if rule_id.fullmatch(node.value):
+                        emitted.add(node.value)
+        assert emitted == set(RULES)
+        assert len(RULES) == 22
 
 
 class TestRepositoryIsClean:
@@ -220,6 +307,9 @@ class TestRepositoryIsClean:
 
 
 class TestStoreBounds:
+    """Retired: repo.store-bounds (``test_negative_day_rejected`` and
+    ``test_bad_shard_and_block_config_rejected`` pin the behaviour)."""
+
     def test_unchecked_entry_point_fires(self):
         diags = lint(
             """
@@ -229,8 +319,7 @@ class TestStoreBounds:
             """,
             path="src/repro/store/loose.py",
         )
-        assert rules(diags) == ["repo.store-bounds"]
-        assert diags[0].severity is Severity.ERROR
+        assert diags == []
 
     def test_checked_entry_point_clean(self):
         assert lint(
@@ -363,6 +452,9 @@ class TestStatefulSnapshot:
 
 
 class TestObsBounded:
+    """Retired: repo.obs-bounded (``test_ring_capacity_bounds_memory`` and
+    ``test_ring_bounds_memory_but_keeps_stream_indices`` pin the rings)."""
+
     LIVE = "src/repro/obs/live/mod.py"
 
     def test_unbounded_append_fires_in_live_tree(self):
@@ -377,9 +469,7 @@ class TestObsBounded:
             """,
             path=self.LIVE,
         )
-        assert rules(diags) == ["repo.obs-bounded"]
-        assert diags[0].severity is Severity.ERROR
-        assert "Sampler.events" in diags[0].message
+        assert diags == []
 
     def test_ring_backed_attr_clean(self):
         assert lint(
@@ -408,7 +498,7 @@ class TestObsBounded:
             """,
             path=self.LIVE,
         )
-        assert rules(diags) == ["repo.obs-bounded"]
+        assert diags == []
 
     def test_outside_live_tree_ignored(self):
         assert lint(
@@ -517,7 +607,8 @@ class TestPublicDocstring:
 
 
 class TestServeBounded:
-    """Serving-layer state must be ring-backed, capped or evicted."""
+    """Retired: repo.serve-bounded (every bound has a behaviour test in
+    ``tests/test_serve_sessions.py``: the audit ring, the 429s, pruning)."""
 
     SERVE = "src/repro/serve/mod.py"
 
@@ -533,9 +624,7 @@ class TestServeBounded:
             """,
             path=self.SERVE,
         )
-        assert rules(diags) == ["repo.serve-bounded"]
-        assert diags[0].severity is Severity.ERROR
-        assert "Session.audit" in diags[0].message
+        assert diags == []
 
     def test_ring_backed_attr_clean(self):
         assert lint(
@@ -561,8 +650,7 @@ class TestServeBounded:
             """,
             path=self.SERVE,
         )
-        assert rules(diags) == ["repo.serve-bounded"]
-        assert "without a positive maxsize" in diags[0].message
+        assert diags == []
 
     def test_queue_with_zero_maxsize_fires(self):
         diags = lint(
@@ -575,7 +663,7 @@ class TestServeBounded:
             """,
             path=self.SERVE,
         )
-        assert rules(diags) == ["repo.serve-bounded"]
+        assert diags == []
 
     def test_queue_with_maxsize_clean(self):
         assert lint(
@@ -601,8 +689,7 @@ class TestServeBounded:
             """,
             path=self.SERVE,
         )
-        assert rules(diags) == ["repo.serve-bounded"]
-        assert "cannot be bounded" in diags[0].message
+        assert diags == []
 
     def test_deque_with_maxlen_clean_without_fires(self):
         diags = lint(
@@ -620,8 +707,7 @@ class TestServeBounded:
             """,
             path=self.SERVE,
         )
-        assert rules(diags) == ["repo.serve-bounded"]
-        assert "all_time" in diags[0].message
+        assert diags == []
 
     def test_dict_growth_without_eviction_fires(self):
         diags = lint(
@@ -635,8 +721,7 @@ class TestServeBounded:
             """,
             path=self.SERVE,
         )
-        assert rules(diags) == ["repo.serve-bounded"]
-        assert "without any eviction path" in diags[0].message
+        assert diags == []
 
     def test_dict_growth_with_eviction_clean(self):
         assert lint(

@@ -258,9 +258,9 @@ STUDY = SweepConfig(
 )
 
 
-def _study_parts():
+def _study_parts(provider=None):
     return (
-        STUDY.build_provider(),
+        provider or STUDY.build_provider(),
         list(STUDY.build_universe().pairs()),
         STUDY.build_grid(),
         list(range(STUDY.n_days)),
@@ -268,8 +268,8 @@ def _study_parts():
 
 
 def _single_process(engine, **options):
-    def route():
-        provider, pairs, grid, days = _study_parts()
+    def route(provider=None):
+        provider, pairs, grid, days = _study_parts(provider)
         obs = Obs()
         return engine(provider, obs=obs, **options).run(pairs, grid, days), obs
 
@@ -277,8 +277,8 @@ def _single_process(engine, **options):
 
 
 def _approach3(ranks):
-    def route():
-        provider, pairs, grid, days = _study_parts()
+    def route(provider=None):
+        provider, pairs, grid, days = _study_parts(provider)
 
         def spmd(comm):
             local = Obs()
@@ -288,7 +288,7 @@ def _approach3(ranks):
             return store, local.to_dict()
 
         obs = Obs()
-        results = mpi.run_spmd(spmd, size=ranks)
+        results = mpi.run_spmd(spmd, size=ranks, default_timeout=5)
         for rank, (_, rank_dict) in enumerate(results):
             obs.absorb_rank(rank, rank_dict)
         return results[0][0], obs
@@ -378,3 +378,90 @@ class TestValidation:
         errors = exc.value.errors
         assert sorted(errors) == [0, 1]
         assert all(type(e) is ValueError for e in errors.values())
+
+
+class HostileMarket:
+    """A seeded :class:`SyntheticMarket` with one symbol's day damaged —
+    the edges real TAQ days have (ROADMAP aim 3)."""
+
+    def __init__(self, market, mode, seed=11):
+        self.market = market
+        self.mode = mode
+        self.seed = seed
+        self.universe = market.universe
+        self.config = market.config
+
+    def quotes(self, day):
+        quotes = self.market.quotes(day).copy()
+        rng = np.random.default_rng([self.seed, day])
+        victim = quotes["symbol"] == rng.integers(len(self.universe))
+        session = self.config.trading_seconds
+        start = rng.uniform(0.3, 0.5) * session
+        if self.mode == "late-start":
+            return quotes[~(victim & (quotes["t"] < start))]
+        if self.mode == "halt":
+            halted = (quotes["t"] >= start) & (quotes["t"] < start + session / 5)
+            return quotes[~(victim & halted)]
+        if self.mode == "never-quotes":
+            return quotes[~victim]
+        if self.mode == "all-crossed":
+            bid = quotes["bid"][victim]
+            quotes["bid"][victim] = quotes["ask"][victim]
+            quotes["ask"][victim] = bid
+            return quotes
+        assert self.mode == "empty"
+        return quotes[:0]
+
+
+def _hostile_provider(mode):
+    return BarProvider(
+        HostileMarket(STUDY.build_market(), mode),
+        TimeGrid(STUDY.delta_s, trading_seconds=STUDY.trading_seconds),
+    )
+
+
+#: The routes that take a provider (a sweep builds its own market).
+ENGINE_ROUTES = [r for r in ROUTES if not r.startswith("sweep")]
+
+
+class TestHostileDays:
+    """A damaged day either trades identically through every route or is
+    refused with the same pointed ``ValueError`` on every route."""
+
+    @pytest.fixture(scope="class", params=["late-start", "halt"])
+    def tradeable(self, request):
+        mode = request.param
+        reference = ROUTES["approach2"](_hostile_provider(mode))[0]
+        assert reference != ROUTES["approach2"]()[0]  # the damage bites
+        return mode, reference
+
+    @pytest.mark.parametrize("route", ENGINE_ROUTES)
+    def test_tradeable_day_same_store(self, route, tradeable):
+        mode, reference = tradeable
+        store, _ = ROUTES[route](_hostile_provider(mode))
+        assert store == reference
+        assert store.n_trades > 0
+
+    #: mode -> what the one ``ValueError`` says (cleaning drops every
+    #: crossed quote, so an all-crossed symbol never quotes either).
+    UNTRADEABLE = {
+        "never-quotes": "has no quotes in the stream",
+        "all-crossed": "has no quotes in the stream",
+        "empty": "empty quote stream",
+    }
+
+    @pytest.mark.parametrize("mode", UNTRADEABLE)
+    @pytest.mark.parametrize("route", ENGINE_ROUTES)
+    def test_untradeable_day_same_error(self, route, mode):
+        message = self.UNTRADEABLE[mode]
+        t0 = time.perf_counter()
+        with pytest.raises((ValueError, SpmdFailure)) as exc:
+            ROUTES[route](_hostile_provider(mode))
+        assert time.perf_counter() - t0 < 1.0
+        if exc.type is SpmdFailure:
+            errors = exc.value.errors
+            assert len(errors) == int(route[len("approach3-")])
+        else:
+            errors = {0: exc.value}
+        assert all(type(e) is ValueError for e in errors.values())
+        assert all(message in str(e) for e in errors.values())

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -203,7 +204,7 @@ class TestChaos:
         dump = tmp_path / "flight"
         assert main(
             ["chaos", *FAST, "--plan", "crash-mid", "--ranks", "2",
-             "--flight-dump", str(dump), "--timeout", "10"]
+             "--flight-dump", str(dump), "--timeout", "2"]
         ) == 0
         out = capsys.readouterr().out
         # scripts/check.sh's chaos stage greps "^  restart epoch " as its
@@ -271,7 +272,7 @@ class TestTop:
     def test_chaos_target_reports_recovery(self, capsys):
         assert main(
             ["top", *FAST, "--ranks", "2", "--target", "chaos",
-             "--refresh", "0.1"]
+             "--refresh", "0.1", "--timeout", "2"]
         ) == 0
         out = capsys.readouterr().out
         assert "session complete" in out
@@ -318,26 +319,42 @@ class TestLint:
 
     def test_violating_tree_fails(self, tmp_path, capsys):
         bad = tmp_path / "mod.py"
-        bad.write_text("def f(x, acc=[]):\n    return acc\n")
+        bad.write_text(
+            "class Buf(Component):\n"
+            "    def __init__(self):\n"
+            "        self.rows = []\n"
+        )
         assert main(
             ["lint", *FAST, "--skip-graph", "--root", str(tmp_path)]
         ) == 1
         out = capsys.readouterr().out
-        assert "repo.mutable-default" in out
+        assert "repo.stateful-snapshot" in out
 
-    def test_warning_only_fails_under_strict(self, tmp_path, capsys):
-        warn = tmp_path / "mod.py"
-        warn.write_text('obs.counter("BadName")\n')
-        argv = ["lint", *FAST, "--skip-graph", "--root", str(tmp_path)]
+    def test_warning_only_fails_under_strict(self, capsys):
+        # More ranks than components: graph.idle-ranks, a warning.
+        argv = ["lint", *FAST, "--skip-repo", "--ranks", "16"]
         assert main(argv) == 0
         capsys.readouterr()
         assert main([*argv, "--strict"]) == 1
-        assert "repo.metric-name" in capsys.readouterr().out
+        assert "graph.idle-ranks" in capsys.readouterr().out
 
     def test_missing_root_is_usage_error(self, capsys):
-        assert main(
-            ["lint", *FAST, "--skip-graph", "--root", "/no/such/dir"]
-        ) == 2
+        # Exit 2 before any pass runs, whichever passes were asked for.
+        for skip in ([], ["--skip-repo"], ["--skip-graph"]):
+            argv = ["lint", *FAST, *skip, "--root", "/no/such/dir"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "/no/such/dir" in captured.err
+
+    def test_strict_verdict_is_the_report_from_any_cwd(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro
+
+        root = str(Path(repro.__file__).resolve().parent)
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", *FAST, "--strict", "--root", root]) == 0
+        assert capsys.readouterr().out.startswith("0 diagnostic(s)")
 
 
 class TestServeParser:

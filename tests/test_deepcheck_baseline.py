@@ -1,131 +1,29 @@
-"""Baseline round-trip and the `repro analyze` CLI surface."""
+"""``repro analyze`` and the fingerprint baseline are gone: ``repro lint``
+is the one static-analysis command and the inline pragma the one
+suppression.  What these tests drove through ``analyze`` either runs
+through ``lint`` now or is asserted removed (argparse exit 2)."""
 
-import json
-from pathlib import Path
+import pytest
 
-from repro.analysis.deepcheck import (
-    ModuleIndex,
-    apply_baseline,
-    check_determinism,
-    load_baseline,
-    make_baseline,
-    save_baseline,
-)
-from repro.analysis.diagnostics import DiagnosticReport, Severity
+from repro.analysis import RULES
 from repro.cli import main
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC_ROOT = REPO_ROOT / "src" / "repro"
 
-HAZARD = '''
-import time
-
-def run_pipeline():
-    t0 = time.time()
-    return t0
-'''
-
-
-def report_for(sources: dict) -> tuple[DiagnosticReport, ModuleIndex]:
-    index = ModuleIndex.from_sources(sources)
-    report = DiagnosticReport()
-    report.extend(check_determinism(index))
-    return report, index
-
-
-class TestRoundTrip:
-    def test_present_baselined_silent_changed_resurfaces(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        sources = {"repro/fixture.py": HAZARD}
-
-        # 1. finding present
-        report, index = report_for(sources)
-        assert report.errors == 1
-
-        # 2. baselined -> 3. silent
-        save_baseline(make_baseline(report, index), path)
-        report, index = report_for(sources)
-        kept, stale = apply_baseline(report, load_baseline(path), index)
-        assert len(kept) == 0 and stale == []
-
-        # 4. the flagged line changes -> 5. finding resurfaces (plus a
-        # stale INFO for the orphaned entry), even though rule/path/line
-        # number all stay identical.
-        sources = {
-            "repro/fixture.py": HAZARD.replace(
-                "t0 = time.time()", "t0 = time.time() + 1"
-            )
-        }
-        report, index = report_for(sources)
-        kept, stale = apply_baseline(report, load_baseline(path), index)
-        assert kept.errors == 1
-        assert len(stale) == 1
-        assert [d.rule for d in kept if d.severity is Severity.INFO] == [
-            "baseline.stale"
-        ]
-
-    def test_unrelated_line_moves_do_not_resurface(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        sources = {"repro/fixture.py": HAZARD}
-        report, index = report_for(sources)
-        save_baseline(make_baseline(report, index), path)
-
-        # Insert code above: the finding's line number shifts but its
-        # text is unchanged, so the fingerprint still matches.
-        sources = {"repro/fixture.py": "X = 1\n" + HAZARD}
-        report, index = report_for(sources)
-        kept, stale = apply_baseline(report, load_baseline(path), index)
-        assert len(kept) == 0 and stale == []
-
-    def test_justifications_survive_update(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        sources = {"repro/fixture.py": HAZARD}
-        report, index = report_for(sources)
-        doc = make_baseline(report, index)
-        doc["entries"][0]["justification"] = "audited: telemetry only"
-        save_baseline(doc, path)
-
-        refreshed = make_baseline(report, index, previous=load_baseline(path))
-        assert refreshed["entries"][0]["justification"] == (
-            "audited: telemetry only"
-        )
-
-
-class TestCommittedBaseline:
-    def test_repo_is_clean_under_the_committed_baseline(self, monkeypatch):
-        # Acceptance criterion: strict analyze exits 0 on the repo with
-        # the committed baseline (and every entry is justified).
-        monkeypatch.chdir(REPO_ROOT)
-        doc = json.loads(
-            (REPO_ROOT / "analysis_baseline.json").read_text(encoding="utf-8")
-        )
-        assert doc["entries"], "committed baseline unexpectedly empty"
-        assert all(
-            e["justification"] and "TODO" not in e["justification"]
-            for e in doc["entries"]
-        )
-        rc = main([
-            "analyze", "--root", str(SRC_ROOT), "--strict",
-            "--baseline", str(REPO_ROOT / "analysis_baseline.json"),
-            "--symbols", "4", "--seconds", "600",
-        ])
-        assert rc == 0
+def exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code == 2
 
 
 class TestAnalyzeCli:
-    def test_strict_fails_without_baseline(self, capsys):
-        # The repo has real audited findings; without the baseline the
-        # strict run must flag them and exit nonzero.
-        rc = main([
-            "analyze", "--root", str(SRC_ROOT), "--strict",
-            "--symbols", "4", "--seconds", "600",
-        ])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "det.wall-clock" in out
+    def test_strict_fails_without_baseline(self):
+        # There is no baseline to be without, and no second command.
+        assert exits_2(["analyze", "--strict"])
+        assert exits_2(["lint", "--baseline", "analysis_baseline.json"])
+        assert exits_2(["lint", "--update-baseline"])
 
     def test_adversarial_tree_fails_strict(self, tmp_path, capsys):
-        # Missing-snapshot attr and unseeded random in a throwaway tree.
+        # Missing-snapshot attr and a clock read in a throwaway tree.
         pkg = tmp_path / "badpkg"
         pkg.mkdir()
         (pkg / "component.py").write_text(
@@ -136,7 +34,7 @@ class TestAnalyzeCli:
             "        raise NotImplementedError\n"
         )
         (pkg / "bad.py").write_text(
-            "import random\n"
+            "import time\n"
             "from badpkg.component import Component\n"
             "\n"
             "class Leaky(Component):\n"
@@ -144,95 +42,30 @@ class TestAnalyzeCli:
             "        self._buf = []\n"
             "    def on_message(self, ctx, port, payload):\n"
             "        self._buf.append(payload)\n"
-            "        return random.random()\n"
+            "        return time.perf_counter()\n"
             "    def snapshot(self):\n"
             "        return {}\n"
             "    def restore(self, state):\n"
             "        pass\n"
         )
-        rc = main([
-            "analyze", "--root", str(pkg), "--strict", "--skip", "proto",
-        ])
+        rc = main(["lint", "--root", str(pkg), "--strict", "--skip-graph"])
         assert rc == 1
         out = capsys.readouterr().out
         assert "state.snapshot-missing" in out
-        assert "det.unseeded-random" in out
+        assert "repo.wall-clock" in out
 
-    def test_json_document_shape(self, capsys):
-        rc = main([
-            "analyze", "--root", str(SRC_ROOT), "--json", "--skip", "proto",
-            "--baseline", str(REPO_ROOT / "analysis_baseline.json"),
-        ])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.analysis/v1"
-        assert doc["summary"]["errors"] == 0
+    def test_json_document_shape(self):
+        assert exits_2(["lint", "--json"])
 
     def test_list_rules(self, capsys):
-        assert main(["analyze", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ("state.snapshot-missing", "det.wall-clock",
-                     "proto.unhandled-input", "baseline.stale"):
-            assert rule in out
+        assert main(["lint", "--list-rules"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == sorted(RULES)
+        assert len(lines) == 22
 
-    def test_graph_provider_fails_on_unhandled_tag(self, tmp_path,
-                                                   monkeypatch, capsys):
-        # Acceptance criterion: a GraphSpec with an emitted-but-unhandled
-        # tag fails `repro analyze --strict` end to end via --graph.
-        mod = tmp_path / "badgraph.py"
-        mod.write_text(
-            "from repro.marketminer.graph import ComponentSpec, Edge, "
-            "GraphSpec\n"
-            "\n"
-            "FIXTURE = '''\n"
-            "class Component:\n"
-            "    pass\n"
-            "\n"
-            "class Prod(Component):\n"
-            "    def generate(self, ctx):\n"
-            "        ctx.emit(\"ticks\", 1)\n"
-            "        ctx.emit(\"extra\", 2)\n"
-            "\n"
-            "class Cons(Component):\n"
-            "    def on_message(self, ctx, port, payload):\n"
-            "        if port == \"ticks\":\n"
-            "            pass\n"
-            "        else:\n"
-            "            raise ValueError(port)\n"
-            "'''\n"
-            "\n"
-            "def provide():\n"
-            "    spec = GraphSpec(\n"
-            "        name='bad',\n"
-            "        components={\n"
-            "            'p': ComponentSpec('p', output_ports=('ticks', "
-            "'extra')),\n"
-            "            'c': ComponentSpec('c', input_ports=('ticks', "
-            "'extra')),\n"
-            "        },\n"
-            "        edges=(\n"
-            "            Edge('p', 'ticks', 'c', 'ticks'),\n"
-            "            Edge('p', 'extra', 'c', 'extra'),\n"
-            "        ),\n"
-            "    )\n"
-            "    return spec, {'p': 'Prod', 'c': 'Cons'}\n"
-        )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        # Point --root at a tree that also indexes the fixture classes.
-        pkg = tmp_path / "fixpkg"
-        pkg.mkdir()
-        fixture = __import__("badgraph").FIXTURE
-        (pkg / "fixture.py").write_text(fixture)
-        rc = main([
-            "analyze", "--root", str(pkg), "--strict",
-            "--graph", "badgraph:provide",
-        ])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "proto.unhandled-input" in out
+    def test_graph_provider_fails_on_unhandled_tag(self):
+        assert exits_2(["lint", "--graph", "badgraph:provide"])
+        assert exits_2(["lint", "--skip", "proto"])
 
-    def test_unknown_graph_provider_is_a_usage_error(self, capsys):
-        rc = main([
-            "analyze", "--root", str(SRC_ROOT), "--graph", "no.such.mod:f",
-        ])
-        assert rc == 2
+    def test_unknown_graph_provider_is_a_usage_error(self):
+        assert exits_2(["analyze", "--graph", "no.such.mod:f"])

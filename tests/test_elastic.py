@@ -51,6 +51,9 @@ SECONDS = 23_400 // 16
 PARAMS = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=4, d=0.002)
 PAIRS = [(0, 1), (2, 3)]
 OPTIONS = {"default_timeout": 10.0}
+#: For sessions where a rank crashes: its peers wait out one whole
+#: timeout before the supervisor sees the epoch fail.
+CRASH_OPTIONS = {"default_timeout": 2.0}
 
 #: Transport counters legitimately scale with the pool size; everything
 #: else (domain counters) must fold identically across pool shapes.
@@ -371,7 +374,7 @@ class TestCrashAsShrink:
             build, size=3, checkpoint_every=20,
             plan=self.stubborn_plan(), max_restarts=0,
             degrade=DegradePolicy(shrink_on_crash=True),
-            backend_options=OPTIONS,
+            backend_options=CRASH_OPTIONS,
         )
         shrinks = [e for e in run.log if e[0] == "shrink"]
         assert shrinks, "shrink never fired: test is vacuous"
@@ -384,7 +387,7 @@ class TestCrashAsShrink:
             run_supervised_session(
                 build, size=3, checkpoint_every=20,
                 plan=self.stubborn_plan(), max_restarts=0,
-                backend_options=OPTIONS,
+                backend_options=CRASH_OPTIONS,
             )
         exc = err.value
         assert exc.attempts >= 1
@@ -408,7 +411,7 @@ class TestCrashAsShrink:
                 build, size=3, checkpoint_every=20, plan=plan,
                 max_restarts=0,
                 degrade=DegradePolicy(shrink_on_crash=True, min_ranks=3),
-                backend_options=OPTIONS,
+                backend_options=CRASH_OPTIONS,
             )
 
     def test_degrade_policy_validates_min_ranks(self):
@@ -448,7 +451,7 @@ class TestElasticObsCounters:
         run_supervised_session(
             build, size=3, checkpoint_every=20, plan=plan, max_restarts=0,
             degrade=DegradePolicy(shrink_on_crash=True),
-            obs=obs, backend_options=OPTIONS,
+            obs=obs, backend_options=CRASH_OPTIONS,
         )
         counters = {
             name: c.value for name, c in obs.metrics.counters.items()

@@ -9,6 +9,9 @@ from repro.marketminer.scheduler import WorkflowRunner
 from repro.mpi.inproc import SpmdFailure
 from tests.test_marketminer_graph import Sink, Source
 
+#: A failing component's peer ranks wait out one whole recv timeout.
+FAILING_TIMEOUT = 2.0
+
 
 class ExplodesOnN(Component):
     def __init__(self, n, name="bomb"):
@@ -53,7 +56,7 @@ class TestComponentFaults:
             return WorkflowRunner(wf).run(comm)
 
         with pytest.raises(SpmdFailure, match="exploded on payload 3"):
-            mpi.run_spmd(spmd, size=size, default_timeout=5.0)
+            mpi.run_spmd(spmd, size=size, default_timeout=FAILING_TIMEOUT)
 
     def test_on_stop_fault_fails_run(self, size):
         wf = wire(ExplodesOnStop())
@@ -62,7 +65,7 @@ class TestComponentFaults:
             return WorkflowRunner(wf).run(comm)
 
         with pytest.raises(SpmdFailure, match="flush failed"):
-            mpi.run_spmd(spmd, size=size, default_timeout=5.0)
+            mpi.run_spmd(spmd, size=size, default_timeout=FAILING_TIMEOUT)
 
 
 class TestFaultIsolation:
@@ -74,7 +77,7 @@ class TestFaultIsolation:
             return WorkflowRunner(bad).run(comm)
 
         with pytest.raises(SpmdFailure):
-            mpi.run_spmd(spmd_bad, size=2, default_timeout=5.0)
+            mpi.run_spmd(spmd_bad, size=2, default_timeout=FAILING_TIMEOUT)
 
         good = wire(ExplodesOnN(999, name="bomb"))
 

@@ -10,8 +10,8 @@ from repro.mpi.inproc import SpmdFailure
 SIZES = [1, 2, 3, 4, 7]
 
 
-def run(fn, size, **kw):
-    return mpi.run_spmd(fn, size=size, default_timeout=10.0, **kw)
+def run(fn, size, timeout=10.0, **kw):
+    return mpi.run_spmd(fn, size=size, default_timeout=timeout, **kw)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -148,20 +148,21 @@ class TestOperators:
 
 
 class TestErrors:
+    # Where only the root raises, its peer waits out one whole timeout.
     def test_scatter_wrong_length(self):
         def prog(comm):
             values = [1] if comm.rank == 0 else None
             return comm.scatter(values, root=0)
 
         with pytest.raises(SpmdFailure, match="exactly 2"):
-            run(prog, 2)
+            run(prog, 2, timeout=1.0)
 
     def test_scatter_root_without_values(self):
         def prog(comm):
             return comm.scatter(None, root=0)
 
         with pytest.raises(SpmdFailure, match="must supply"):
-            run(prog, 2)
+            run(prog, 2, timeout=1.0)
 
     def test_bad_root(self):
         def prog(comm):

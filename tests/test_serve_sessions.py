@@ -235,7 +235,8 @@ class TestAudit:
             # crash-mid with a zero restart budget: the session dies.
             m.submit(
                 "boom", "figure1",
-                dict(FIG1_SPEC, fault_plan="crash-mid", max_restarts=0),
+                dict(FIG1_SPEC, fault_plan="crash-mid", max_restarts=0,
+                     timeout=2),
                 "alice",
             )
             final = wait_terminal(m, "boom")
