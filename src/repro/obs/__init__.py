@@ -38,6 +38,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     NULL_METRIC,
+    WindowedHistogram,
     payload_nbytes,
     registry_snapshot,
 )
@@ -170,6 +171,7 @@ __all__ = [
     "SCHEMA",
     "Span",
     "SpanTracer",
+    "WindowedHistogram",
     "attach_to_comm",
     "build_report",
     "comm_obs",

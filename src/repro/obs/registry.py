@@ -89,12 +89,36 @@ class Gauge:
         return {"last": self.last, "max": self.max, "n_sets": self.n_sets}
 
 
+#: The operational trio every summary and live snapshot reports.
+_TRIO = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
+
+
+def _quantile_sorted(data: list[float], q: float) -> float:
+    """Linear interpolation at ``q`` on an already sorted, non-empty list."""
+    pos = (len(data) - 1) * q
+    lo = math.floor(pos)
+    hi = math.ceil(pos)
+    if lo == hi:
+        return data[lo]
+    return data[lo] + (data[hi] - data[lo]) * (pos - lo)
+
+
+def _trio_sorted(data: list[float]) -> dict[str, float]:
+    """p50/p95/p99 of an already sorted list (``{}`` when it is empty)."""
+    if not data:
+        return {}
+    return {key: _quantile_sorted(data, q) for key, q in _TRIO}
+
+
 class Histogram:
     """Sample distribution with numpy-compatible quantiles.
 
-    Raw observations are retained (the workloads this library instruments
-    observe at most tens of thousands of values per rank), which makes
-    merging across ranks exact: concatenate the samples.
+    Every observation is retained, which makes merging across ranks
+    exact (concatenate the samples) and suits producers whose sample
+    count is bounded by the run: one per message, cell or epoch.  A
+    producer that observes for the life of a process — the HTTP
+    transport, one sample per request — uses :class:`WindowedHistogram`
+    instead.
     """
 
     __slots__ = ("name", "values")
@@ -118,7 +142,8 @@ class Histogram:
 
     @property
     def mean(self) -> float:
-        return self.total / len(self.values) if self.values else math.nan
+        count = self.count
+        return self.total / count if count else math.nan
 
     def quantile(self, q: float) -> float:
         """Linear-interpolation quantile, identical to ``numpy.quantile``."""
@@ -126,31 +151,64 @@ class Histogram:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if not self.values:
             return math.nan
-        data = sorted(self.values)
-        pos = (len(data) - 1) * q
-        lo = math.floor(pos)
-        hi = math.ceil(pos)
-        if lo == hi:
-            return data[lo]
-        return data[lo] + (data[hi] - data[lo]) * (pos - lo)
+        return _quantile_sorted(sorted(self.values), q)
 
     def summary(self) -> dict:
         """count/sum/min/max/mean plus the p50/p95/p99 operational trio."""
-        if not self.values:
+        data = sorted(self.values)
+        if not data:
             return {"count": 0}
+        count, total = self.count, self.total
         return {
-            "count": self.count,
-            "sum": self.total,
-            "min": min(self.values),
-            "max": max(self.values),
-            "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
+            "count": count,
+            "sum": total,
+            "min": data[0],
+            "max": data[-1],
+            "mean": total / count,
+            **_trio_sorted(data),
         }
 
     def to_dict(self) -> list[float]:
         return list(self.values)
+
+
+class WindowedHistogram(Histogram):
+    """Lifetime ``count``/``total``; quantiles over the last ``WINDOW`` values.
+
+    ``values`` is a ring of at most ``WINDOW`` recent observations, so
+    memory and the cost of every statistic are independent of how long
+    the producer has been running; ``min``/``max`` and the quantiles
+    describe that window, ``count``/``sum``/``mean`` the whole life.
+    ``observe`` is a read-modify-write: concurrent writers serialise
+    outside (the HTTP transport holds its server's metrics lock).
+    ``to_dict`` — the cross-rank interchange — carries the window only.
+    """
+
+    WINDOW = 1024
+
+    __slots__ = ("_count", "_total")
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self._count = 0
+        self._total = 0.0
+
+    def observe(self, value: float) -> None:
+        value = float(value)
+        if self._count < self.WINDOW:
+            self.values.append(value)
+        else:
+            self.values[self._count % self.WINDOW] = value
+        self._count += 1
+        self._total += value
+
+    @property
+    def count(self) -> int:
+        return self._count
+
+    @property
+    def total(self) -> float:
+        return self._total
 
 
 def registry_snapshot(
@@ -173,12 +231,12 @@ def registry_snapshot(
     returned and the caller decides (the sampler skips the tick, the
     route retries on its next request).
 
-    With ``quantiles=True`` histogram statistics are computed over a
-    shallow copy of the sample list, so a concurrent ``observe`` can
-    never shift data under the quantile scan.  The lean default path
-    reads ``count``/``sum`` without copying — histogram sample lists
-    only ever grow by append, and the sampler ticks at 20 Hz, so the
-    per-tick copy would be the single largest cost of live sampling.
+    With ``quantiles=True`` the trio comes from one sorted copy per
+    histogram (``sorted`` copies before it sorts), so a concurrent
+    ``observe`` can never shift data under the quantile scan.  The lean
+    default path reads ``count``/``sum`` without copying — the sampler
+    ticks at 20 Hz, so a per-tick copy would be the single largest cost
+    of live sampling.
     """
     for _ in range(retries + 1):
         try:
@@ -189,17 +247,12 @@ def registry_snapshot(
             continue
         histograms: dict[str, dict] = {}
         for name, h in hists:
-            values = list(h.values) if quantiles else h.values
             entry: dict[str, float] = {
-                "count": len(values),
-                "sum": float(sum(values)),
+                "count": h.count,
+                "sum": float(h.total),
             }
-            if quantiles and values:
-                copy = Histogram(name)
-                copy.values = values
-                entry["p50"] = copy.quantile(0.50)
-                entry["p95"] = copy.quantile(0.95)
-                entry["p99"] = copy.quantile(0.99)
+            if quantiles:
+                entry.update(_trio_sorted(sorted(h.values)))
             histograms[name] = entry
         return {
             "counters": {name: c.value for name, c in counters},
@@ -293,6 +346,15 @@ class MetricsRegistry:
         if h is None:
             h = self.histograms[name] = Histogram(name)
         return h
+
+    def windowed_histogram(self, name: str) -> WindowedHistogram:
+        """Like :meth:`histogram`, for a producer that never stops."""
+        if not self.enabled:
+            return NULL_METRIC  # type: ignore[return-value]
+        h = self.histograms.get(name)
+        if h is None:
+            h = self.histograms[name] = WindowedHistogram(name)
+        return h  # type: ignore[return-value]
 
     def timer(self, name: str) -> _Timer | _NullMetric:
         """Context manager timing a block into histogram ``name``."""

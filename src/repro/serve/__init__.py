@@ -16,7 +16,7 @@ package is that front door, built entirely on the stdlib:
 
 Entry points: ``repro serve`` boots a server from the CLI;
 ``benchmarks/bench_serve.py`` drives it with thousands of simulated
-clients and gates on p99 latency and read-path error rate.
+clients and gates on p50/p99 latency and read-path error rate.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     NULL_METRIC,
+    WindowedHistogram,
     payload_nbytes,
+    registry_snapshot,
 )
 
 
@@ -77,12 +79,72 @@ class TestHistogramQuantiles:
         }
 
 
+    @pytest.mark.parametrize("n", [1, 2, 37, 5000])
+    def test_one_sort_trio_matches_numpy_and_quantile(self, n):
+        """summary() and the live snapshot sort once; same numbers."""
+        values = np.random.default_rng(n).exponential(size=n)
+        reg = MetricsRegistry()
+        h = reg.histogram("t")
+        for v in values:
+            h.observe(v)
+        summary = h.summary()
+        live = registry_snapshot(reg, quantiles=True)["histograms"]["t"]
+        for key, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+            assert summary[key] == live[key] == h.quantile(q)
+            assert summary[key] == pytest.approx(
+                float(np.quantile(values, q)), rel=1e-12
+            )
+        assert summary["min"] == values.min()
+        assert summary["max"] == values.max()
+        assert live["count"] == n and live["sum"] == summary["sum"]
+        lean = registry_snapshot(reg)["histograms"]["t"]
+        assert lean == {"count": n, "sum": summary["sum"]}
+
+
+class TestWindowedHistogram:
+    def _filled(self, n):
+        values = np.random.default_rng(7).exponential(size=n)
+        reg = MetricsRegistry()
+        h = reg.windowed_histogram("lat")
+        for v in values:
+            h.observe(v)
+        return reg, h, values
+
+    def test_lifetime_count_and_sum_windowed_quantiles(self):
+        window = WindowedHistogram.WINDOW
+        reg, h, values = self._filled(3 * window + 17)
+        assert reg.windowed_histogram("lat") is h
+        assert len(h.values) == window
+        assert sorted(h.values) == sorted(values[-window:])
+        s = h.summary()
+        assert s["count"] == len(values)
+        assert s["sum"] == pytest.approx(values.sum())
+        assert s["mean"] == pytest.approx(values.mean())
+        assert s["p99"] == pytest.approx(np.quantile(values[-window:], 0.99))
+        live = registry_snapshot(reg, quantiles=True)["histograms"]["lat"]
+        assert live["count"] == len(values) and live["p99"] == s["p99"]
+
+    def test_short_of_the_window_it_is_a_histogram(self):
+        reg, h, values = self._filled(100)
+        plain = Histogram("lat")
+        for v in values:
+            plain.observe(v)
+        assert h.summary() == plain.summary()
+
+    def test_prometheus_reports_lifetime_count(self):
+        from repro.obs.live.export import render_prometheus
+
+        reg, h, values = self._filled(WindowedHistogram.WINDOW + 5)
+        assert f"lat_count {len(values)}" in render_prometheus(reg)
+
+
 class TestDisabledRegistry:
     def test_hands_out_null_metric(self):
         reg = MetricsRegistry(enabled=False)
         assert reg.counter("a") is NULL_METRIC
         assert reg.gauge("b") is NULL_METRIC
         assert reg.histogram("c") is NULL_METRIC
+        assert reg.windowed_histogram("c") is NULL_METRIC
         assert reg.timer("d") is NULL_METRIC
 
     def test_stays_empty_after_use(self):

@@ -7,14 +7,19 @@ see.  The module-scoped server is shared; tests use distinct session
 ids and users to stay independent.
 """
 
+import http.client
 import json
+import socket
+import statistics
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.obs import Obs
+from repro.obs import Obs, WindowedHistogram, registry_snapshot
 from repro.serve import ServeApp, SessionManager, make_server
+from repro.serve.http import MAX_BODY_BYTES, _Handler
 from repro.store import StoreReader, ingest_synthetic
 from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
 from repro.taq.universe import default_universe
@@ -46,28 +51,76 @@ def server(tmp_path_factory):
     srv.server_close()
 
 
+def _exchange(conn, method, path, body=None, token=TOKEN):
+    """One request on ``conn``; JSON bodies come back decoded."""
+    headers = {}
+    if token is not None:
+        headers["Authorization"] = f"Bearer {token}"
+    payload = json.dumps(body) if body is not None else None
+    conn.request(method, path, body=payload, headers=headers)
+    resp = conn.getresponse()
+    raw = resp.read()
+    if resp.getheader("Content-Type", "").startswith("application/json"):
+        return resp.status, json.loads(raw)
+    return resp.status, raw.decode()
+
+
 @pytest.fixture(scope="module")
 def client(server):
-    import http.client
-
+    """``request(method, path, ...)`` on a fresh connection every call."""
     host, port = server.server_address[:2]
 
-    def request(method, path, body=None, token=TOKEN):
+    def request(*args, **kwargs):
         conn = http.client.HTTPConnection(host, port, timeout=30)
-        headers = {}
-        if token is not None:
-            headers["Authorization"] = f"Bearer {token}"
-        payload = json.dumps(body) if body is not None else None
-        conn.request(method, path, body=payload, headers=headers)
-        resp = conn.getresponse()
-        raw = resp.read()
-        content_type = resp.getheader("Content-Type", "")
-        conn.close()
-        if content_type.startswith("application/json"):
-            return resp.status, json.loads(raw)
-        return resp.status, raw.decode()
+        try:
+            return _exchange(conn, *args, **kwargs)
+        finally:
+            conn.close()
 
     return request
+
+
+@pytest.fixture()
+def keepalive(server):
+    """The same callable on one keep-alive connection for the whole test."""
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+    yield lambda *args, **kwargs: _exchange(conn, *args, **kwargs)
+    conn.close()
+
+
+@pytest.fixture()
+def bare():
+    """A server of its own, no store or sessions: exact counts, no threads."""
+    app = ServeApp(SessionManager(max_live=2, retain=8), token=TOKEN)
+    srv = make_server(app)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def _raw(srv, request: bytes, timeout=3.0):
+    """Send raw bytes on a new socket; return (everything received, closed)."""
+    received = b""
+    address = srv.server_address[:2]
+    with socket.create_connection(address, timeout=timeout) as s:
+        s.sendall(request)
+        try:
+            while chunk := s.recv(1 << 16):
+                received += chunk
+        except TimeoutError:
+            return received, False
+        except ConnectionResetError:
+            pass
+    return received, True
+
+
+def wait_until(predicate, timeout=3.0):
+    """Poll: the transport records a request's metrics after the reply."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
 
 
 def wait_done(client, sid, timeout=60.0):
@@ -118,10 +171,9 @@ class TestRouting:
         assert status == 400 and "JSON body" in body["error"]
 
     def test_malformed_json_body_is_400(self, server):
-        import http.client
-
-        host, port = server.server_address[:2]
-        conn = http.client.HTTPConnection(host, port, timeout=10)
+        conn = http.client.HTTPConnection(
+            *server.server_address[:2], timeout=10
+        )
         conn.request(
             "POST", "/sessions", body=b"{not json",
             headers={"Authorization": f"Bearer {TOKEN}"},
@@ -131,6 +183,163 @@ class TestRouting:
         conn.close()
         assert resp.status == 400
         assert "not valid JSON" in body["error"]
+
+
+class TestTransport:
+    """The wire itself: segments, framing, idle connections, flat cost."""
+
+    def test_keepalive_requests_do_not_stall(self, keepalive):
+        # Two-segment replies cost Nagle + delayed ACK = 44 ms on every
+        # request after a connection's first.
+        elapsed = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            assert keepalive("GET", "/health", token=None)[0] == 200
+            elapsed.append(time.perf_counter() - t0)
+        assert statistics.median(elapsed) < 0.020
+
+    @pytest.mark.parametrize("path", ["/sessions", "/metrics"])
+    def test_reply_is_one_segment(self, server, path):
+        request = (
+            f"GET {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Authorization: Bearer {TOKEN}\r\n\r\n"
+        ).encode()
+        with socket.create_connection(
+            server.server_address[:2], timeout=5
+        ) as s:
+            for _ in range(2):  # a connection's first reply never stalls
+                s.sendall(request)
+                head, _, body = s.recv(1 << 20).partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200")
+                length = int(
+                    head.lower().split(b"content-length: ")[1].split()[0]
+                )
+                assert length > 0 and len(body) == length
+
+    @pytest.mark.parametrize(
+        "declared, status, says",
+        [
+            ("abc", 400, "non-negative integer"),
+            ("-1", 400, "non-negative integer"),
+            (str(MAX_BODY_BYTES + 1), 413, "exceeds"),
+        ],
+    )
+    def test_bad_content_length_is_4xx_and_closes(
+        self, server, client, declared, status, says
+    ):
+        received, closed = _raw(
+            server,
+            (
+                f"PUT /users/dave/watchlist HTTP/1.1\r\nHost: t\r\n"
+                f"Authorization: Bearer {TOKEN}\r\n"
+                f"Content-Length: {declared}\r\n\r\nxxxxGET"
+            ).encode(),
+        )
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode()), received
+        assert b"Connection: close" in head
+        # One JSON reply, then EOF: the unread body is never parsed as a
+        # request line (which used to answer an HTML 501 on top).
+        assert says in json.loads(body)["error"]
+        assert closed
+        assert client("GET", "/health")[0] == 200
+
+    def test_idle_connection_is_closed(self, bare, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        before = threading.active_count()
+        with socket.create_connection(bare.server_address[:2], timeout=3) as s:
+            s.sendall(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert s.recv(1 << 16).startswith(b"HTTP/1.1 200")
+            assert threading.active_count() == before + 1
+            assert s.recv(1 << 16) == b""  # the server hung up, not us
+        assert wait_until(lambda: threading.active_count() == before)
+
+    def test_stalled_body_is_408_and_closes(self, bare, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        received, closed = _raw(
+            bare,
+            (
+                f"PUT /users/dave/watchlist HTTP/1.1\r\nHost: t\r\n"
+                f"Authorization: Bearer {TOKEN}\r\n"
+                f"Content-Length: 64\r\n\r\n"
+            ).encode() + b'{"symbols": [',
+        )
+        assert received.startswith(b"HTTP/1.1 408 ") and closed
+
+    def test_latency_histogram_is_flat(self, bare):
+        """Memory and /telemetry cost do not grow with requests served."""
+        conn = http.client.HTTPConnection(*bare.server_address[:2], timeout=10)
+        assert _exchange(conn, "GET", "/health")[0] == 200
+        conn.close()
+        metrics = bare.app.obs.metrics
+        name = "serve.http.health.seconds"
+        assert wait_until(lambda: name in metrics.histograms)
+        hist = metrics.histograms[name]
+        expected = hist.total
+
+        def drive(n):
+            nonlocal expected
+            for i in range(n):
+                hist.observe(i % 64 / 4096)
+                expected += i % 64 / 4096
+
+        def snapshot_seconds():
+            best = float("inf")
+            for _ in range(7):
+                t0 = time.perf_counter()
+                registry_snapshot(metrics, quantiles=True)
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        drive(1_999)
+        early = snapshot_seconds()
+        drive(18_000)
+        late = snapshot_seconds()
+        assert len(hist.values) <= WindowedHistogram.WINDOW
+        assert hist.count == 20_000 and hist.total == expected
+        snap = registry_snapshot(metrics, quantiles=True)
+        assert snap["histograms"][name]["count"] == 20_000
+        assert late <= 2 * early, (early, late)
+
+    def test_concurrent_requests_lose_no_metric_update(self, bare):
+        n_threads, n_each = 8, 40
+        errors = []
+
+        def worker():
+            conn = http.client.HTTPConnection(
+                *bare.server_address[:2], timeout=10
+            )
+            try:
+                for _ in range(n_each):
+                    if _exchange(conn, "GET", "/health")[0] != 200:
+                        errors.append("status")
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                conn.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker) for _ in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        metrics = bare.app.obs.metrics
+        total = n_threads * n_each
+        counter = metrics.counters[
+            "serve.http.requests[route=health,status=200]"
+        ]
+        wait_until(lambda: counter.value >= total)
+        assert counter.value == total
+        assert metrics.histograms["serve.http.health.seconds"].count == total
 
 
 class TestSessionRoutes:
@@ -305,23 +514,9 @@ class TestStoreRoutes:
         status, body = client("GET", "/store/scan?limit=999999")
         assert status == 400 and "<=" in body["error"]
 
-    def test_no_store_is_a_pointed_400(self):
-        manager = SessionManager(max_live=2, retain=8)
-        app = ServeApp(manager, token="t")
-        srv = make_server(app)
-        threading.Thread(target=srv.serve_forever, daemon=True).start()
-        try:
-            import http.client
-
-            host, port = srv.server_address[:2]
-            conn = http.client.HTTPConnection(host, port, timeout=10)
-            conn.request("GET", "/store/days",
-                         headers={"Authorization": "Bearer t"})
-            resp = conn.getresponse()
-            body = json.loads(resp.read())
-            assert resp.status == 400
-            assert "--store-root" in body["error"]
-            conn.close()
-        finally:
-            srv.shutdown()
-            srv.server_close()
+    def test_no_store_is_a_pointed_400(self, bare):
+        conn = http.client.HTTPConnection(*bare.server_address[:2], timeout=10)
+        status, body = _exchange(conn, "GET", "/store/days")
+        conn.close()
+        assert status == 400
+        assert "--store-root" in body["error"]
