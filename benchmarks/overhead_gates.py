@@ -1,4 +1,5 @@
-"""Overhead gates: every switchable seam must be (near-)free when off.
+"""Overhead gates: every switchable seam must be (near-)free when off,
+and the shared fixed point must stay shared.
 
 ``python -m benchmarks.overhead_gates`` (a ``scripts/check.sh`` stage)
 times both sides of each row of :data:`GATES`, min of :data:`N_RUNS`
@@ -12,13 +13,19 @@ runs a side (min is robust to scheduling noise), and fails unless
   default interval (the ``repro top`` data path) reads from its own
   thread, so the session should barely notice it;
 * tracer, faults — an untraced / fault-free ping-pong pays exactly one
-  ``is not None`` test per send/recv for carrying the seam.
+  ``is not None`` test per send/recv for carrying the seam;
+* grouped — a window's Maronna and Combined blocks asked for together
+  are one fixed point, so they must cost well under the two asked for
+  separately (a ratio of two runs on one host, so host speed cancels).
 """
 
 import time
 from functools import partial
 
+import numpy as np
+
 from repro.analysis.commtrace import run_traced
+from repro.corr.batch import batch_pair_blocks
 from repro.faults import FaultInjector, FaultPlan
 from repro.marketminer.session import build_synthetic_figure1, run_figure1_session
 from repro.mpi.launcher import run_spmd
@@ -83,6 +90,21 @@ def world(program=pingpong, traced=False) -> float:
     return _timed(run_spmd, program, size=2, default_timeout=30.0)
 
 
+def robust_blocks(grouped: bool) -> float:
+    """Seconds for the Maronna and Combined blocks of a seeded 8-symbol
+    day at M = 100: asked for together, or one after the other."""
+    rng = np.random.default_rng(7)
+    returns = rng.normal(0.0, 1e-3, (389, 8))
+    returns[rng.random(returns.shape) < 0.02] *= 40.0
+    asks = (
+        [["maronna", "combined"]] if grouped else [["maronna"], ["combined"]]
+    )
+    t0 = time.perf_counter()
+    for ctypes in asks:
+        batch_pair_blocks(returns, 100, ctypes)
+    return time.perf_counter() - t0
+
+
 #: (numerator, its run, denominator, its run, budget, what passing means)
 GATES = (
     ("disabled", partial(session, obs_enabled=False), "enabled", session,
@@ -93,6 +115,9 @@ GATES = (
      1.10, "detached comm tracer pays no measurable overhead"),
     ("detached", world, "attached", partial(world, injected_pingpong),
      1.10, "detached fault injection pays no measurable overhead"),
+    ("grouped", partial(robust_blocks, True),
+     "separate", partial(robust_blocks, False),
+     0.65, "Maronna and Combined at one window share one fixed point"),
 )
 
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repository health check: compile, lint, test, CLI smokes, and the
-# overhead gates (switched-off seams stay (near-)free on the hot paths).
+# overhead gates (switched-off seams stay (near-)free on the hot paths,
+# and a window's Maronna and Combined stay one fixed point).
 #
 # Usage: scripts/check.sh          (from the repository root)
 
@@ -75,7 +76,7 @@ run_and_match '^elastic session: pool 2->4->2,' timeout 10 \
 echo "== work-stealing makespan smoke check =="
 python -m benchmarks.bench_elastic --smoke
 
-echo "== overhead gates (obs, live sampler, comm tracer, fault seam) =="
+echo "== overhead gates (obs, live sampler, comm tracer, fault seam, shared fixed point) =="
 python -m benchmarks.overhead_gates
 
 echo "all checks passed"

@@ -6,11 +6,13 @@ Per day:
 
 1. rank 0 prepares the day's bars and broadcasts them (the data-adapter
    stage of Figure 1);
-2. for each distinct (M, Ctype) in the parameter grid, every pair's
-   correlation series is computed exactly once, with the pair blocks
-   distributed across ranks (:class:`~repro.corr.parallel.ParallelCorrelationEngine`)
-   — this removes "the main bottleneck, the computation of all pair-wise
-   correlations";
+2. for each distinct window M in the parameter grid, every pair's
+   correlation series under each treatment the grid uses at that window
+   is computed exactly once — and so is every Maronna fixed point: the
+   Combined series is derived from the window's Maronna evaluation, not
+   from a second one — with the pair blocks distributed across ranks
+   (:func:`~repro.corr.parallel.parallel_pair_series`); this removes "the
+   main bottleneck, the computation of all pair-wise correlations";
 3. the (pair, parameter set) strategy runs are partitioned by pair across
    ranks, each rank reusing the shared correlation series for all its
    parameter sets;
@@ -28,12 +30,13 @@ from repro.backtest.data import BarProvider
 from repro.backtest.results import ResultStore
 from repro.backtest.runner import (
     CellFailure,
-    correlation_specs,
     run_cells,
+    specs_by_window,
     validate_study,
 )
+from repro.corr.batch import BatchWorkspace
 from repro.corr.maronna import MaronnaConfig
-from repro.corr.parallel import ParallelCorrelationEngine
+from repro.corr.parallel import parallel_pair_series
 from repro.elastic.sharding import shard_pairs
 from repro.mpi.api import Comm
 from repro.obs import Obs, comm_obs, resolve
@@ -90,7 +93,10 @@ class DistributedBacktester:
         # pure function of its id, so membership survives pool resizes and
         # the merged store is identical at any rank count.
         my_pairs = shard_pairs(pairs, comm.size)[comm.rank]
-        specs = correlation_specs(grid)
+        windows = specs_by_window(grid)
+        # This rank's kernel scratch for the whole run (the backtester
+        # itself is shared by the rank threads, so it cannot own one).
+        workspace = BatchWorkspace()
         with obs.trace.span(
             "approach3", rank=comm.rank, size=comm.size, days=len(days)
         ):
@@ -115,14 +121,17 @@ class DistributedBacktester:
                         prices, returns = bundle
                     smax = prices.shape[0]
 
-                    # Stage 2: each correlation series computed exactly once,
-                    # pair-blocks distributed, result replicated on all ranks.
+                    # Stage 2: each correlation series computed exactly once
+                    # (one call per window: its Maronna and Combined share a
+                    # fixed point), pair-blocks distributed, result
+                    # replicated on all ranks.
                     with obs.trace.span("correlation"):
                         series = {
-                            (m, ctype): ParallelCorrelationEngine(
-                                ctype, self.maronna_config
-                            ).pair_series(comm, returns, m, pairs)
-                            for m, ctype in specs
+                            m: parallel_pair_series(
+                                comm, returns, m, ctypes, pairs,
+                                self.maronna_config, workspace,
+                            )
+                            for m, ctypes in windows.items()
                         }
 
                     # Stage 3: strategy runs for this rank's pair block, all
@@ -131,7 +140,7 @@ class DistributedBacktester:
                         run_cells(
                             store, prices, day, my_pairs, grid,
                             lambda i, j, params: align_corr_series(
-                                series[(params.m, params.ctype)][(i, j)],
+                                series[params.m][params.ctype][(i, j)],
                                 smax, params.m,
                             ),
                             obs, self.execution, failures,

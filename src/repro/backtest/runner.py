@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.backtest.data import BarProvider
 from repro.backtest.results import ResultStore
-from repro.corr.batch import BatchWorkspace, batch_pair_series, corr_series
+from repro.corr.batch import BatchWorkspace, batch_pair_blocks, corr_series
 from repro.corr.maronna import MaronnaConfig
 from repro.corr.measures import CorrelationType, check_pairs
 from repro.obs import Obs, resolve
@@ -118,6 +118,17 @@ def correlation_specs(
     return sorted(
         {(p.m, p.ctype) for p in grid}, key=lambda s: (s[0], s[1].value)
     )
+
+
+def specs_by_window(
+    grid: list[StrategyParams],
+) -> dict[int, list[CorrelationType]]:
+    """:func:`correlation_specs` grouped as ``{window: treatments}``: what
+    a shared-correlation engine asks for in one evaluation per window."""
+    windows: dict[int, list[CorrelationType]] = {}
+    for m, ctype in correlation_specs(grid):
+        windows.setdefault(m, []).append(ctype)
+    return windows
 
 
 def run_cells(
@@ -212,8 +223,9 @@ class SequentialBacktester:
     By default every job recomputes its own correlation series (the
     paper's Approach-2 cost profile).  ``share_correlation=True`` instead
     fills a per-day cache with one
-    :func:`~repro.corr.batch.batch_pair_series` call per (window,
-    treatment) spec, leaving every trade bitwise identical; the per-job
+    :func:`~repro.corr.batch.batch_pair_blocks` call per window (its
+    Maronna and Combined specs share one fixed point), leaving every
+    trade bitwise identical; the per-job
     clock then covers only the strategy scan and the correlation cost
     lands in ``corr.batch.*``.
     """
@@ -270,7 +282,7 @@ class SequentialBacktester:
 
     def _corr_source(self, prices, pairs, grid, day):
         """The day's ``corr_for``: each job computes its own series, or
-        (shared) reads a cache filled by one batch evaluation per spec."""
+        (shared) reads a cache filled by one batch evaluation per window."""
         if not self.share_correlation:
             return lambda i, j, params: _own_corr(
                 prices[:, [i, j]], params, self.maronna_config
@@ -278,13 +290,14 @@ class SequentialBacktester:
         returns = self.provider.returns(day)
         smax = prices.shape[0]
         cache: dict[tuple, np.ndarray] = {}
-        for m, ctype in correlation_specs(grid):
-            block = batch_pair_series(
-                returns, m, ctype, self.maronna_config, pairs=pairs,
+        for m, ctypes in specs_by_window(grid).items():
+            blocks = batch_pair_blocks(
+                returns, m, ctypes, self.maronna_config, pairs=pairs,
                 obs=self.obs, workspace=self._workspace,
             )
-            for p, (i, j) in enumerate(pairs):
-                cache[(i, j, m, ctype)] = align_corr_series(
-                    block[:, p], smax, m
-                )
+            for ctype, block in blocks.items():
+                for p, (i, j) in enumerate(pairs):
+                    cache[(i, j, m, ctype)] = align_corr_series(
+                        block[:, p], smax, m
+                    )
         return lambda i, j, params: cache[(i, j, params.m, params.ctype)]

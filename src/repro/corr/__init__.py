@@ -25,6 +25,7 @@ block-parallel matrix engine that runs over the MPI substrate
 
 from repro.corr.batch import (
     BatchWorkspace,
+    batch_pair_blocks,
     batch_pair_series,
     corr_matrix_series,
     corr_series,
@@ -59,6 +60,7 @@ from repro.corr.measures import (
 from repro.corr.online import OnlineCorrelationEngine
 from repro.corr.parallel import (
     ParallelCorrelationEngine,
+    parallel_pair_series,
     partition_pairs,
 )
 from repro.corr.pearson import (
@@ -79,6 +81,7 @@ __all__ = [
     "ParallelCorrelationEngine",
     "absorption_ratio",
     "all_pairs",
+    "batch_pair_blocks",
     "batch_pair_series",
     "combined_corr",
     "combined_corr_batched",
@@ -95,6 +98,7 @@ __all__ = [
     "maronna_weights",
     "nearest_psd_correlation",
     "pairwise_corr",
+    "parallel_pair_series",
     "partition_pairs",
     "pearson_corr",
     "pearson_corr_batched",

@@ -2,20 +2,26 @@
 
 The paper evaluates every pair of its 61-stock universe — N·(N−1)/2 = 1830
 rolling correlation series per (day, window, treatment).  Every engine in
-the tree gets those series from :func:`batch_pair_series`, which fills a
-``(n_windows, n_pairs)`` block in a single evaluation:
+the tree gets those series from :func:`batch_pair_blocks` (all of a
+window's treatments at once) or :func:`batch_pair_series` (one of them),
+which fill ``(n_windows, n_pairs)`` blocks in which every series — and
+every Maronna fixed point — is computed exactly once:
 
 * **Pearson** — per-symbol centred cumulative moments are computed once
   (O(T·n) instead of O(T·n²)), and only the pair cross-moments are formed
   per pair, chunked to bound peak memory;
-* **Maronna / Combined** — every pair's windows are stacked into
-  cache-resident contiguous batches and driven through the vectorised
-  robust kernels, so the fixed-point iteration converges *all pairs and all
-  windows simultaneously* under one convergence mask.
+* **Maronna / Combined** — each symbol's window medians and scales are
+  computed once, every pair's windows are stacked into cache-resident
+  contiguous batches, and one fixed-point iteration converges *all pairs
+  and all windows simultaneously* under one convergence mask in
+  preallocated buffers.  Combined is ``0.5 * (Pearson + Maronna)`` of the
+  same window, so it is derived from the window's Maronna evaluation
+  rather than running a second one.
 
 :func:`corr_series` (one pair — Approach 2's per-job recomputation) and
 :func:`corr_matrix_series` (Approach 1's materialised matrices) are thin
-shapes over the same kernels; nothing selects between implementations.
+shapes over the same kernels; nothing selects between implementations and
+nothing is cached between calls, so those baselines keep their cost.
 
 Equivalence contract
 --------------------
@@ -27,59 +33,76 @@ A block is **bitwise-identical** to the per-window oracle kept in
   expression-for-expression (per-column ``.mean()``, columnwise ``cumsum``
   — strictly sequential in NumPy — and the same elementwise
   ``_corr_from_moments``);
-* the robust kernels freeze each window once converged, so every window's
+* the robust kernel freezes each window once converged, so every window's
   trajectory is independent of which other windows share its batch — batch
   composition and chunk boundaries cannot change any result (guaranteed by
-  :func:`repro.corr.maronna.maronna_corr_batched` and asserted by the
-  property tests in ``tests/test_corr_batch.py``).
+  :func:`repro.corr.maronna.maronna_fixed_point`, which is also what
+  :func:`repro.corr.maronna.maronna_corr_batched` runs, and asserted by
+  the property tests in ``tests/test_corr_batch.py``);
+* the Combined block averages the Maronna result with
+  :func:`repro.corr.pearson.pearson_corr_batched` of the same stacked
+  windows — what :func:`repro.corr.combined.combined_corr_batched` does —
+  not with the cumsum Pearson block, which differs in the last ulp.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.bars.returns import sliding_windows
-from repro.corr.maronna import MaronnaConfig
-from repro.corr.measures import (
-    BATCHED_KERNELS,
-    CorrelationType,
-    all_pairs,
-    check_pairs,
+from repro.corr.maronna import (
+    N_WORK_BUFFERS,
+    MaronnaConfig,
+    maronna_fixed_point,
+    robust_start,
 )
-from repro.corr.pearson import _corr_from_moments, pearson_matrix, pearson_series
-from repro.obs import NULL_METRIC, Obs
+from repro.corr.measures import CorrelationType, all_pairs, check_pairs
+from repro.corr.pearson import (
+    _corr_from_moments,
+    pearson_corr_batched,
+    pearson_matrix,
+    pearson_series,
+)
+from repro.obs import Obs, resolve
 from repro.util.validation import check_positive_int
 
 #: Cap on elements materialised per Pearson cross-moment chunk.
 _CHUNK_ELEMENTS = 2_000_000
 
-#: Cap on elements per robust-kernel batch.  The fixed-point iteration
-#: touches ~10 temporaries of the batch's size every pass, so the batch
-#: must stay cache-resident: 64k elements (512 KiB per buffer) measured
-#: ~1.5x faster than megabyte-scale batches on the paper-day workload.
+#: Cap on elements per robust-kernel batch.  A fixed-point step makes
+#: ~30 passes over buffers of the batch's size, so the batch must stay
+#: cache-resident (64k elements = 512 KiB a buffer measured ~1.5x faster
+#: than megabyte batches) — and not smaller: at 16k elements two rank
+#: threads spend the step trading the GIL between short ufunc calls
+#: (study_robust 1.61-1.64 s a pass against 0.95-1.05 s).
 _ROBUST_CHUNK_ELEMENTS = 65_536
 
 
 class BatchWorkspace:
-    """Preallocated scratch buffers reused across batch kernel calls.
+    """Scratch buffers reused across batch kernel calls.
 
-    The batch kernels allocate working arrays proportional to the chunk
-    budget; an engine sweeping many (day, spec) cells passes one workspace
-    so those buffers are allocated once and stay cache-warm instead of
-    being re-malloc'd per call.  Buffers are keyed by role and reallocated
-    only when a call needs a different shape.
+    The batch kernels need working arrays proportional to the chunk
+    budget; an engine passes one workspace to every call of a run, so
+    each role's buffer is allocated once and stays cache-warm.  Buffers
+    are handed out by capacity: a role's allocation serves every request
+    that fits in it, whatever the shape — the same 65,536 elements are
+    ``(1310, 50)`` at M = 50 and ``(327, 200)`` at M = 200 — and is
+    replaced only by a larger one.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
     def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised float64 buffer of exactly ``shape``."""
+        """An uninitialised C-contiguous float64 array of exactly ``shape``."""
+        size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape)
-            self._buffers[name] = buf
-        return buf
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
     @property
     def nbytes(self) -> int:
@@ -90,10 +113,8 @@ class BatchWorkspace:
 def _validate(
     returns: np.ndarray,
     m: int,
-    ctype: CorrelationType | str,
     pairs: list[tuple[int, int]] | None,
-) -> tuple[np.ndarray, CorrelationType, list[tuple[int, int]], int]:
-    ctype = CorrelationType.parse(ctype)
+) -> tuple[np.ndarray, list[tuple[int, int]], int]:
     check_positive_int(m, "m")
     if m < 2:
         raise ValueError("window length must be >= 2")
@@ -113,7 +134,7 @@ def _validate(
             f"(row {row}, column {col})"
         )
     pairs = all_pairs(n) if pairs is None else check_pairs(pairs, n)
-    return returns, ctype, pairs, T - m + 1
+    return returns, pairs, T - m + 1
 
 
 def _out_buffer(
@@ -190,38 +211,46 @@ def _pearson_batch(
     return n_chunks
 
 
-def _robust_batch(
+def _robust_blocks(
     returns: np.ndarray,
     m: int,
-    ctype: CorrelationType,
+    outs: dict[CorrelationType, np.ndarray],
     config: MaronnaConfig | None,
     pairs: list[tuple[int, int]],
-    out: np.ndarray,
     ws: BatchWorkspace,
-) -> int:
-    """All-pairs robust/blended series into ``out``; returns chunk count.
+) -> tuple[int, int, int]:
+    """One Maronna evaluation of every (window, pair) into each robust
+    block of ``outs``; returns ``(chunks, window-steps, unconverged)``.
 
-    Stacks every pair's sliding windows into contiguous ``(rows, m)``
-    batches spanning pair boundaries and drives them through the batched
-    kernels: one convergence mask over all pairs and windows at once.
-    Per-window convergence freezing makes each row's result independent of
-    the batch composition, so the flat-row chunking below cannot change
-    any value.
+    Each symbol's window medians and scales are computed once, as
+    ``(n_windows,)`` vectors the pairs index.  Every pair's sliding
+    windows are then stacked into contiguous ``(rows, m)`` batches
+    spanning pair boundaries and put through one fixed point: the Maronna
+    block is its result, the Combined block its average with the
+    per-window Pearson of the same stacked batch.  Per-window convergence
+    freezing makes each row's result independent of the batch
+    composition, so the flat-row chunking cannot change any value.
     """
-    kernel = BATCHED_KERNELS[ctype]
-    n_win = out.shape[0]
-    n_pairs = len(pairs)
-    wins = [
-        (sliding_windows(returns[:, i], m), sliding_windows(returns[:, j], m))
-        for i, j in pairs
-    ]
-    total_rows = n_pairs * n_win
+    if m < 3:
+        raise ValueError("window length must be >= 3 for a robust fit")
+    cfg = config if config is not None else MaronnaConfig()
+    n_win = returns.shape[0] - m + 1
+    total_rows = len(pairs) * n_win
     chunk_rows = max(1, min(_ROBUST_CHUNK_ELEMENTS // m, total_rows))
-    bufx = ws.get("robust.bufx", (chunk_rows, m))
-    bufy = ws.get("robust.bufy", (chunk_rows, m))
-    n_chunks = 0
+    wins = {
+        s: sliding_windows(returns[:, s], m)
+        for s in sorted({s for pair in pairs for s in pair})
+    }
+    start = {s: np.empty((2, n_win)) for s in wins}
+    for s, (med, scale) in start.items():
+        for lo in range(0, n_win, chunk_rows):
+            hi = lo + chunk_rows
+            med[lo:hi], scale[lo:hi] = robust_start(wins[s][lo:hi])
+    work = ws.get("robust.work", (N_WORK_BUFFERS, chunk_rows, m))
+    n_chunks = row_steps = unconverged = 0
     for lo in range(0, total_rows, chunk_rows):
         hi = min(lo + chunk_rows, total_rows)
+        rows = hi - lo
         # The (buffer row, pair, first window, row count) runs of this chunk.
         runs = []
         pos = lo
@@ -230,14 +259,98 @@ def _robust_batch(
             take = min(hi - pos, n_win - w)
             runs.append((pos - lo, p, w, take))
             pos += take
+        tx, sx, ty, sy = np.empty((4, rows))
         for r, p, w, take in runs:  # gather window slices into the stack
-            bufx[r : r + take] = wins[p][0][w : w + take]
-            bufy[r : r + take] = wins[p][1][w : w + take]
-        vals = kernel(bufx[: hi - lo], bufy[: hi - lo], config)
-        for r, p, w, take in runs:  # scatter back to (window, pair)
-            out[w : w + take, p] = vals[r : r + take]
+            i, j = pairs[p]
+            work[0, r : r + take] = wins[i][w : w + take]
+            work[1, r : r + take] = wins[j][w : w + take]
+            tx[r : r + take], sx[r : r + take] = start[i][:, w : w + take]
+            ty[r : r + take], sy[r : r + take] = start[j][:, w : w + take]
+        # The fixed point overwrites the stack, so Pearson reads it first.
+        if CorrelationType.COMBINED in outs:
+            pearson = pearson_corr_batched(work[0, :rows], work[1, :rows])
+        maronna, steps, live = maronna_fixed_point(
+            work, rows, tx, ty, sx, sy, cfg
+        )
+        for ctype, out in outs.items():
+            vals = (
+                maronna
+                if ctype is CorrelationType.MARONNA
+                else 0.5 * (pearson + maronna)
+            )
+            for r, p, w, take in runs:  # scatter back to (window, pair)
+                out[w : w + take, p] = vals[r : r + take]
         n_chunks += 1
-    return n_chunks
+        row_steps += steps
+        unconverged += live
+    return n_chunks, row_steps, unconverged
+
+
+def _fill_blocks(
+    returns: np.ndarray,
+    m: int,
+    outs: dict[CorrelationType, np.ndarray],
+    config: MaronnaConfig | None,
+    pairs: list[tuple[int, int]],
+    obs: Obs | None,
+    workspace: BatchWorkspace | None,
+) -> None:
+    """Fill each treatment's block of ``outs`` and account for the work."""
+    obs = resolve(obs)
+    ws = workspace if workspace is not None else BatchWorkspace()
+    robust = {
+        ctype: out
+        for ctype, out in outs.items()
+        if ctype is not CorrelationType.PEARSON
+    }
+    n_chunks = 0
+    with obs.trace.span(
+        "corr.batch", pairs=len(pairs), m=m,
+        ctype="+".join(sorted(ctype.value for ctype in outs)),
+    ), obs.metrics.timer("corr.batch.pair_series.seconds"):
+        if CorrelationType.PEARSON in outs:
+            n_chunks += _pearson_batch(
+                returns, m, pairs, outs[CorrelationType.PEARSON], ws
+            )
+        if robust:
+            chunks, row_steps, unconverged = _robust_blocks(
+                returns, m, robust, config, pairs, ws
+            )
+            n_chunks += chunks
+    counter = obs.metrics.counter
+    windows = len(pairs) * (returns.shape[0] - m + 1)
+    counter("corr.batch.pairs").inc(len(pairs) * len(outs))
+    counter("corr.batch.windows").inc(windows * len(outs))
+    counter("corr.batch.chunks").inc(n_chunks)
+    if robust:
+        counter("corr.batch.fixed_point_windows").inc(windows)
+        counter("corr.batch.fixed_point_steps").inc(row_steps)
+        counter("corr.batch.unconverged").inc(unconverged)
+
+
+def batch_pair_blocks(
+    returns: np.ndarray,
+    m: int,
+    ctypes: Iterable[CorrelationType | str],
+    config: MaronnaConfig | None = None,
+    pairs: list[tuple[int, int]] | None = None,
+    obs: Obs | None = None,
+    workspace: BatchWorkspace | None = None,
+) -> dict[CorrelationType, np.ndarray]:
+    """Every wanted treatment's block at one window, each series once.
+
+    What an engine asks per (day, window): ``{treatment: block}`` with
+    each block exactly :func:`batch_pair_series` of that treatment.
+    Maronna and Combined at one window share a single fixed-point
+    evaluation (Combined is its average with the same windows' Pearson),
+    so asking for both costs one Maronna, not two.  Parameters are those
+    of :func:`batch_pair_series`.
+    """
+    ctypes = {CorrelationType.parse(ctype) for ctype in ctypes}
+    returns, pairs, n_win = _validate(returns, m, pairs)
+    outs = {ctype: np.empty((n_win, len(pairs))) for ctype in ctypes}
+    _fill_blocks(returns, m, outs, config, pairs, obs, workspace)
+    return outs
 
 
 def batch_pair_series(
@@ -258,7 +371,7 @@ def batch_pair_series(
         Return rows for the whole universe (one column per symbol).
     m : int
         Rolling window length in return rows (>= 2; robust measures
-        require >= 3, enforced by the kernels).
+        require >= 3).
     ctype : CorrelationType or str, optional
         Correlation treatment; one of the paper's three measures.
     config : MaronnaConfig, optional
@@ -270,8 +383,8 @@ def batch_pair_series(
         span (which is what `repro top` and the flame table attribute the
         batch path's time to).  Disabled/absent obs costs nothing.
     workspace : BatchWorkspace, optional
-        Preallocated scratch reused across calls; engines sweeping many
-        (day, spec) cells should pass one.
+        Scratch reused across calls; engines sweeping many (day, spec)
+        cells should pass one.
     out : ndarray, shape (T - m + 1, len(pairs)), optional
         Preallocated float64 output buffer.
 
@@ -282,33 +395,10 @@ def batch_pair_series(
         returns[:, j_p], m, ctype, config)`` — bitwise, not approximately
         (see the module docstring for why).
     """
-    returns, ctype, pairs, n_win = _validate(returns, m, ctype, pairs)
+    ctype = CorrelationType.parse(ctype)
+    returns, pairs, n_win = _validate(returns, m, pairs)
     out = _out_buffer(out, n_win, len(pairs))
-    ws = workspace if workspace is not None else BatchWorkspace()
-    record = obs is not None and obs.enabled
-    span = (
-        obs.trace.span(
-            "corr.batch", pairs=len(pairs), m=m, ctype=ctype.value
-        )
-        if record
-        else NULL_METRIC
-    )
-    timer = (
-        obs.metrics.timer("corr.batch.pair_series.seconds")
-        if record
-        else NULL_METRIC
-    )
-    with span, timer:
-        if ctype is CorrelationType.PEARSON:
-            n_chunks = _pearson_batch(returns, m, pairs, out, ws)
-        else:
-            n_chunks = _robust_batch(
-                returns, m, ctype, config, pairs, out, ws
-            )
-    if record:
-        obs.metrics.counter("corr.batch.pairs").inc(len(pairs))
-        obs.metrics.counter("corr.batch.windows").inc(len(pairs) * n_win)
-        obs.metrics.counter("corr.batch.chunks").inc(n_chunks)
+    _fill_blocks(returns, m, {ctype: out}, config, pairs, obs, workspace)
     return out
 
 
@@ -331,13 +421,12 @@ def corr_series(
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError(f"need equal-length 1-D inputs, got {x.shape} vs {y.shape}")
-    returns, ctype, pairs, n_win = _validate(
-        np.column_stack((x, y)), m, ctype, None
-    )
+    ctype = CorrelationType.parse(ctype)
+    returns, pairs, n_win = _validate(np.column_stack((x, y)), m, None)
     if ctype is CorrelationType.PEARSON:
         return pearson_series(x, y, m)
     out = np.empty((n_win, 1))
-    _robust_batch(returns, m, ctype, config, pairs, out, BatchWorkspace())
+    _robust_blocks(returns, m, {ctype: out}, config, pairs, BatchWorkspace())
     return out[:, 0]
 
 
@@ -357,7 +446,8 @@ def corr_matrix_series(
     Pearson is one matrix product per window; the robust measures are one
     :func:`batch_pair_series` block scattered into the matrices.
     """
-    returns, ctype, pairs, n_win = _validate(returns, m, ctype, None)
+    ctype = CorrelationType.parse(ctype)
+    returns, pairs, n_win = _validate(returns, m, None)
     n = returns.shape[1]
     out = np.empty((n_win, n, n))
     if ctype is CorrelationType.PEARSON:

@@ -15,9 +15,11 @@ its own communicator, and every rank returns the full result.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
-from repro.corr.batch import BatchWorkspace, batch_pair_series
+from repro.corr.batch import BatchWorkspace, batch_pair_blocks, batch_pair_series
 from repro.corr.maronna import MaronnaConfig
 from repro.corr.measures import CorrelationType, all_pairs, check_pairs, corr_matrix
 from repro.mpi.api import SUM, Comm
@@ -54,12 +56,61 @@ def partition_pairs(
     return blocks
 
 
+def parallel_pair_series(
+    comm: Comm,
+    returns: np.ndarray,
+    m: int,
+    ctypes: Iterable[CorrelationType | str],
+    pairs: list[tuple[int, int]],
+    config: MaronnaConfig | None = None,
+    workspace: BatchWorkspace | None = None,
+) -> dict[CorrelationType, dict[tuple[int, int], np.ndarray]]:
+    """Rolling series of every wanted treatment at one window, SPMD.
+
+    The pair list is partitioned across ranks; each rank evaluates its
+    block once for all of ``ctypes``
+    (:func:`repro.corr.batch.batch_pair_blocks`: Maronna and Combined
+    share one fixed point) and a single all-gather merges the blocks, so
+    every rank returns the complete ``{treatment: {pair: series}}``
+    mapping.  Series indexing matches :func:`repro.corr.batch.corr_series`.
+    """
+    returns = np.asarray(returns, dtype=float)
+    if returns.ndim != 2:
+        raise ValueError(f"need (T, n) returns, got shape {returns.shape}")
+    # Every rank checks the whole list, so a bad pair fails all ranks
+    # together instead of stranding the others in the all-gather.
+    pairs = check_pairs(pairs, returns.shape[1])
+    with _method_timer(comm, "pair_series"):
+        mine = partition_pairs(pairs, comm.size)[comm.rank]
+        obs = comm_obs(comm)
+        if obs is not None and obs.enabled:
+            obs.metrics.counter("corr.parallel.pairs_local").inc(len(mine))
+        blocks = batch_pair_blocks(
+            returns, m, ctypes, config, pairs=mine, obs=obs,
+            workspace=workspace,
+        )
+        local = {
+            ctype: {
+                pair: np.ascontiguousarray(block[:, p])
+                for p, pair in enumerate(mine)
+            }
+            for ctype, block in blocks.items()
+        }
+        merged: dict = {ctype: {} for ctype in local}
+        for part in comm.allgather(local):
+            for ctype, series in part.items():
+                merged[ctype].update(series)
+        return merged
+
+
 class ParallelCorrelationEngine:
     """Distribute pairwise correlation work across the ranks of a Comm.
 
-    Each rank drives its pair block through
-    :func:`repro.corr.batch.batch_pair_series`; results are
-    bitwise-identical across rank counts and MPI backends.
+    One treatment per engine; each rank drives its pair block through
+    :func:`repro.corr.batch.batch_pair_series`, and results are
+    bitwise-identical across rank counts and MPI backends.  An engine
+    that wants several treatments at one window asks
+    :func:`parallel_pair_series` for them together.
     """
 
     def __init__(
@@ -99,46 +150,12 @@ class ParallelCorrelationEngine:
         m: int,
         pairs: list[tuple[int, int]],
     ) -> dict[tuple[int, int], np.ndarray]:
-        """Rolling correlation series for each requested pair, SPMD.
-
-        The pair list is partitioned across ranks; each rank computes its
-        block's series and an all-gather merges the blocks, so every rank
-        returns the complete ``{pair: series}`` mapping.  Series indexing
-        matches :func:`repro.corr.batch.corr_series`.
-        """
-        returns = np.asarray(returns, dtype=float)
-        if returns.ndim != 2:
-            raise ValueError(f"need (T, n) returns, got shape {returns.shape}")
-        # Every rank checks the whole list, so a bad pair fails all ranks
-        # together instead of stranding the others in the all-gather.
-        pairs = check_pairs(pairs, returns.shape[1])
-        with _method_timer(comm, "pair_series"):
-            mine = partition_pairs(pairs, comm.size)[comm.rank]
-            obs = comm_obs(comm)
-            if obs is not None and obs.enabled:
-                obs.metrics.counter("corr.parallel.pairs_local").inc(len(mine))
-            block = self._block_series(comm, returns, m, mine)
-            local = {
-                pair: np.ascontiguousarray(block[:, p])
-                for p, pair in enumerate(mine)
-            }
-            merged: dict[tuple[int, int], np.ndarray] = {}
-            for part in comm.allgather(local):
-                merged.update(part)
-            return merged
-
-    def _block_series(
-        self,
-        comm: Comm,
-        returns: np.ndarray,
-        m: int,
-        mine: list[tuple[int, int]],
-    ) -> np.ndarray:
-        """This rank's ``(n_windows, len(mine))`` block of series."""
-        return batch_pair_series(
-            returns, m, self.ctype, self.config, pairs=mine,
-            obs=comm_obs(comm), workspace=self._workspace,
-        )
+        """Rolling correlation series for each requested pair, SPMD:
+        :func:`parallel_pair_series` for this engine's one treatment."""
+        return parallel_pair_series(
+            comm, returns, m, [self.ctype], pairs, self.config,
+            self._workspace,
+        )[self.ctype]
 
     def matrix_series(
         self, comm: Comm, returns: np.ndarray, m: int
@@ -155,7 +172,10 @@ class ParallelCorrelationEngine:
         n = returns.shape[1]
         with _method_timer(comm, "matrix_series"):
             mine = self._my_pairs(comm, n)
-            block = self._block_series(comm, returns, m, mine)
+            block = batch_pair_series(
+                returns, m, self.ctype, self.config, pairs=mine,
+                obs=comm_obs(comm), workspace=self._workspace,
+            )
             partial = np.zeros((block.shape[0], n, n))
             idx_i = np.asarray([i for i, _ in mine], dtype=np.intp)
             idx_j = np.asarray([j for _, j in mine], dtype=np.intp)

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.bars.returns import sliding_windows
 from repro.corr.combined import combined_corr_batched
-from repro.corr.maronna import maronna_corr_batched
+from repro.corr.maronna import MaronnaConfig, maronna_corr_batched
 from repro.corr.measures import CorrelationType, all_pairs
 from repro.corr.pearson import pearson_series
 
@@ -40,3 +40,99 @@ def reference_pair_series(returns, m, ctype="pearson", config=None, pairs=None):
         for w in range(n_win):
             out[w, p] = kernel(xw[w : w + 1], yw[w : w + 1], config)[0]
     return out
+
+
+_EPS = 1e-18
+
+
+def _mad(x: np.ndarray, med: np.ndarray) -> np.ndarray:
+    """Median absolute deviation per row of (B, M) around per-row medians."""
+    return np.median(np.abs(x - med[:, None]), axis=1)
+
+
+def frozen_maronna_corr_batched(
+    xw: np.ndarray, yw: np.ndarray, config: MaronnaConfig | None = None
+) -> np.ndarray:
+    """The Maronna estimator's frozen definition: the body of
+    ``maronna_corr_batched`` as it stood before the allocation-free kernel
+    (commit e4737b1), copied verbatim.  The production kernel must equal
+    it bit for bit; a change that moves a bit is a new estimator and needs
+    its own oracle, not an edit here."""
+    cfg = config if config is not None else MaronnaConfig()
+    x = np.asarray(xw, dtype=float)
+    y = np.asarray(yw, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError(f"need matching (B, M) batches, got {x.shape} vs {y.shape}")
+    B, m = x.shape
+    if m < 3:
+        raise ValueError("window length must be >= 3 for a robust fit")
+
+    # -- robust initialisation -------------------------------------------
+    tx = np.median(x, axis=1)
+    ty = np.median(y, axis=1)
+    sx = _mad(x, tx) * 1.4826  # normal-consistent MAD
+    sy = _mad(y, ty) * 1.4826
+    # MAD can be zero for heavily discretised data; fall back to std.
+    sx = np.where(sx > _EPS, sx, x.std(axis=1))
+    sy = np.where(sy > _EPS, sy, y.std(axis=1))
+    degenerate = (sx <= _EPS) | (sy <= _EPS)
+    sx = np.where(degenerate, 1.0, sx)
+    sy = np.where(degenerate, 1.0, sy)
+
+    # Quadrant correlation as the initial shape.
+    q = np.mean(np.sign(x - tx[:, None]) * np.sign(y - ty[:, None]), axis=1)
+    rho0 = np.clip(np.sin(0.5 * np.pi * q), -0.98, 0.98)
+
+    a = sx * sx  # V[0,0]
+    c = sy * sy  # V[1,1]
+    b = rho0 * sx * sy  # V[0,1]
+
+    k2 = cfg.k * cfg.k
+    # Per-window freezing: once a window's scatter has converged it stops
+    # updating, so each window's trajectory — and therefore its result —
+    # is independent of which other windows share the batch.
+    active = ~degenerate
+    for _ in range(cfg.max_iter):
+        if not np.any(active):
+            break
+        dx = x[active] - tx[active, None]
+        dy = y[active] - ty[active, None]
+        aa, bb, cc = a[active], b[active], c[active]
+        det = np.maximum(aa * cc - bb * bb, _EPS)
+        # Mahalanobis distances under the current 2x2 scatter.
+        d2 = (
+            cc[:, None] * dx * dx - 2.0 * bb[:, None] * dx * dy + aa[:, None] * dy * dy
+        ) / det[:, None]
+        d2 = np.maximum(d2, 0.0)
+        d = np.sqrt(d2)
+        with np.errstate(divide="ignore"):
+            u1 = np.minimum(1.0, cfg.k / np.maximum(d, _EPS))
+        u2 = np.minimum(1.0, k2 / np.maximum(d2, _EPS))
+
+        w1_sum = u1.sum(axis=1)
+        tx_new = (u1 * x[active]).sum(axis=1) / w1_sum
+        ty_new = (u1 * y[active]).sum(axis=1) / w1_sum
+
+        dx = x[active] - tx_new[:, None]
+        dy = y[active] - ty_new[:, None]
+        a_new = (u2 * dx * dx).mean(axis=1)
+        c_new = (u2 * dy * dy).mean(axis=1)
+        b_new = (u2 * dx * dy).mean(axis=1)
+
+        scale = np.maximum(np.maximum(aa, cc), _EPS)
+        delta = np.maximum(
+            np.maximum(np.abs(a_new - aa), np.abs(c_new - cc)), np.abs(b_new - bb)
+        )
+        tx[active], ty[active] = tx_new, ty_new
+        a[active], b[active], c[active] = a_new, b_new, c_new
+        still = delta > cfg.tol * scale
+        idx = np.nonzero(active)[0]
+        active[idx[~still]] = False
+
+    denom_sq = a * c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.where(
+            denom_sq > _EPS, b / np.sqrt(np.maximum(denom_sq, _EPS)), 0.0
+        )
+    corr = np.where(degenerate, 0.0, corr)
+    return np.clip(corr, -1.0, 1.0)

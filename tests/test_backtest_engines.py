@@ -23,7 +23,7 @@ from repro.backtest.runner import (
 )
 from repro.backtest.sweep import SweepConfig, run_sweep
 from repro.mpi.inproc import SpmdFailure
-from repro.obs import Obs
+from repro.obs import Obs, attach_to_comm
 from repro.strategy.costs import execution_salt
 from repro.strategy.engine import align_corr_series, run_pair_day
 from repro.strategy.params import StrategyParams
@@ -254,7 +254,9 @@ STUDY = SweepConfig(
     n_days=2,
     trading_seconds=23_400 // 4,
     seed=404,
-    grid=(BASE, BASE.with_ctype("maronna")),
+    # Maronna and Combined at one window: the shared-correlation routes
+    # derive both from one fixed point, the baselines compute each.
+    grid=(BASE, BASE.with_ctype("maronna"), BASE.with_ctype("combined")),
 )
 
 
@@ -338,6 +340,44 @@ class TestOneCellLoop:
         assert "backtest.cells_failed" not in metrics["counters"]
 
 
+class TestEachSeriesOnce:
+    """Approach 3 on the full Table-I grid: nine specs a day are three
+    Pearson blocks and three Maronna evaluations — Combined rides on its
+    window's Maronna — which the fixed-point counters show as a count."""
+
+    def test_full_grid_counts_one_fixed_point_per_window_and_pair(self):
+        from repro.strategy.params import paper_parameter_grid
+
+        cfg = SyntheticMarketConfig(trading_seconds=23_400)
+        market = SyntheticMarket(default_universe(4), cfg, seed=404)
+        provider = BarProvider(market, TimeGrid(30, trading_seconds=23_400))
+        pairs = list(market.universe.pairs())
+        grid = paper_parameter_grid()
+        windows = sorted({p.m for p in grid})
+        assert windows == [50, 100, 200] and len(grid) == 42
+
+        def spmd(comm):
+            local = Obs()
+            attach_to_comm(comm, local)  # as run_sweep does
+            store = DistributedBacktester(provider).run(
+                comm, pairs, grid, [0]
+            )
+            return store, local.to_dict()["metrics"]["counters"]
+
+        results = mpi.run_spmd(spmd, size=2, default_timeout=30)
+        assert len(results[0][0]) == len(pairs) * len(grid)
+        n_returns = provider.smax - 1
+        per_day = sum(len(pairs) * (n_returns - m + 1) for m in windows)
+
+        def total(name):
+            return sum(counters.get(name, 0) for _, counters in results)
+
+        assert total("corr.batch.fixed_point_windows") == per_day
+        assert total("corr.batch.windows") == 3 * per_day  # nine series sets
+        assert total("corr.batch.unconverged") == 0
+        assert total("corr.batch.fixed_point_steps") >= per_day
+
+
 #: Studies every engine must refuse before doing any work.
 BAD_STUDIES = {
     "empty": ([], [0]),
@@ -404,6 +444,10 @@ class HostileMarket:
             return quotes[~(victim & halted)]
         if self.mode == "never-quotes":
             return quotes[~victim]
+        if self.mode == "never-moves":
+            quotes["bid"][victim] = quotes["bid"][victim][0]
+            quotes["ask"][victim] = quotes["ask"][victim][0]
+            return quotes
         if self.mode == "all-crossed":
             bid = quotes["bid"][victim]
             quotes["bid"][victim] = quotes["ask"][victim]
@@ -420,6 +464,14 @@ def _hostile_provider(mode):
     )
 
 
+def _short_provider(bars):
+    """The study's market on a grid of only ``bars`` intervals a day."""
+    return BarProvider(
+        STUDY.build_market(),
+        TimeGrid(STUDY.delta_s, trading_seconds=STUDY.delta_s * bars),
+    )
+
+
 #: The routes that take a provider (a sweep builds its own market).
 ENGINE_ROUTES = [r for r in ROUTES if not r.startswith("sweep")]
 
@@ -428,7 +480,9 @@ class TestHostileDays:
     """A damaged day either trades identically through every route or is
     refused with the same pointed ``ValueError`` on every route."""
 
-    @pytest.fixture(scope="class", params=["late-start", "halt"])
+    @pytest.fixture(
+        scope="class", params=["late-start", "halt", "never-moves"]
+    )
     def tradeable(self, request):
         mode = request.param
         reference = ROUTES["approach2"](_hostile_provider(mode))[0]
@@ -438,9 +492,27 @@ class TestHostileDays:
     @pytest.mark.parametrize("route", ENGINE_ROUTES)
     def test_tradeable_day_same_store(self, route, tradeable):
         mode, reference = tradeable
-        store, _ = ROUTES[route](_hostile_provider(mode))
+        provider = _hostile_provider(mode)
+        store, _ = ROUTES[route](provider)
         assert store == reference
         assert store.n_trades > 0
+        if mode == "never-moves":
+            self._assert_flat_symbol_never_trades(provider, store)
+
+    @staticmethod
+    def _assert_flat_symbol_never_trades(provider, store):
+        """All-zero returns have zero MAD *and* zero std: the degenerate
+        branch of the robust start, correlation 0.0 under every
+        treatment, so no cell of the flat symbol's pairs opens a trade."""
+        _, pairs, grid, days = _study_parts(provider)
+        for day in days:
+            flat = np.flatnonzero(np.ptp(provider.prices(day), axis=0) == 0.0)
+            assert flat.size == 1
+            quiet = [pair for pair in pairs if flat[0] in pair]
+            assert len(quiet) == 3
+            for pair in quiet:
+                for k in range(len(grid)):
+                    assert store.cell(pair, k, day).size == 0
 
     #: mode -> what the one ``ValueError`` says (cleaning drops every
     #: crossed quote, so an all-crossed symbol never quotes either).
@@ -465,3 +537,47 @@ class TestHostileDays:
             errors = {0: exc.value}
         assert all(type(e) is ValueError for e in errors.values())
         assert all(message in str(e) for e in errors.values())
+
+    #: One bar (no return at all) and one return short of the window.
+    SHORT_DAYS = {"one-bar": 1, "m-minus-1-bars": BASE.m - 1}
+
+    @pytest.mark.parametrize("case", SHORT_DAYS)
+    @pytest.mark.parametrize("route", ENGINE_ROUTES)
+    def test_day_shorter_than_the_window(self, route, case):
+        """Refused by name on every route — and, under Approach 3, by
+        every rank at once rather than by a peer's receive timeout."""
+        t0 = time.perf_counter()
+        with pytest.raises((ValueError, SpmdFailure)) as exc:
+            ROUTES[route](_short_provider(self.SHORT_DAYS[case]))
+        assert time.perf_counter() - t0 < 1.0
+        if exc.type is SpmdFailure:
+            errors = exc.value.errors
+            assert len(errors) == int(route[len("approach3-")])
+        else:
+            errors = {0: exc.value}
+        assert all(type(e) is ValueError for e in errors.values())
+        assert all("need at least" in str(e) for e in errors.values())
+        if case == "m-minus-1-bars":  # names the window and what it got
+            wanted = f"need at least {BASE.m} return rows, got {BASE.m - 2}"
+            assert all(wanted in str(e) for e in errors.values())
+
+    def test_short_day_is_refused_by_a_rank_with_no_pairs_too(self):
+        """One pair on three ranks leaves two correlation blocks empty;
+        those ranks must validate the day all the same, or they would sit
+        in the all-gather until the receive timeout."""
+        provider = _short_provider(BASE.m - 1)
+        grid = [BASE.with_ctype("maronna"), BASE.with_ctype("combined")]
+
+        def spmd(comm):
+            return DistributedBacktester(provider).run(
+                comm, [(0, 1)], grid, [0]
+            )
+
+        t0 = time.perf_counter()
+        with pytest.raises(SpmdFailure) as exc:
+            mpi.run_spmd(spmd, size=3, default_timeout=5)
+        assert time.perf_counter() - t0 < 1.0
+        errors = exc.value.errors
+        assert sorted(errors) == [0, 1, 2]
+        assert all(type(e) is ValueError for e in errors.values())
+        assert all("need at least 30 return rows" in str(e) for e in errors.values())

@@ -16,13 +16,14 @@ from repro.backtest.data import BarProvider
 from repro.backtest.runner import SequentialBacktester
 from repro.corr.batch import (
     BatchWorkspace,
+    batch_pair_blocks,
     batch_pair_series,
     corr_matrix_series,
     corr_series,
 )
 from repro.corr.maronna import MaronnaConfig
-from repro.corr.measures import all_pairs
-from repro.corr.parallel import ParallelCorrelationEngine
+from repro.corr.measures import CorrelationType, all_pairs
+from repro.corr.parallel import ParallelCorrelationEngine, parallel_pair_series
 from repro.obs import Obs
 from repro.strategy.engine import align_corr_series
 from repro.strategy.params import StrategyParams
@@ -59,12 +60,34 @@ class TestHelpers:
         assert len(all_pairs(61)) == 1830
 
     def test_workspace_reuse_and_nbytes(self):
+        """A role's allocation serves every request that fits in it — a
+        change of M reshapes the same memory — and only grows."""
         ws = BatchWorkspace()
-        a = ws.get("x", (4, 5))
-        assert ws.get("x", (4, 5)) is a
-        b = ws.get("x", (6, 5))
-        assert b is not a and b.shape == (6, 5)
-        assert ws.nbytes == b.nbytes
+        a = ws.get("x", (1310, 50))
+        assert a.shape == (1310, 50) and a.flags["C_CONTIGUOUS"]
+        for shape in ((1310, 50), (655, 100), (327, 200), (6, 10, 5)):
+            b = ws.get("x", shape)
+            assert b.shape == shape and b.flags["C_CONTIGUOUS"]
+            assert np.shares_memory(a, b)
+            assert ws.nbytes == a.nbytes
+        c = ws.get("x", (1311, 50))
+        assert not np.shares_memory(a, c)
+        ws.get("y", (3,))
+        assert ws.nbytes == c.nbytes + 3 * 8
+
+    def test_one_workspace_serves_every_window_of_a_run(self):
+        """Across the M = 50 / 100 / 200 blocks of a day the robust role
+        is allocated once (the reallocation per change of M is gone)."""
+        rng = np.random.default_rng(3)
+        returns = random_returns(rng, 800, 3)  # every M fills the chunk cap
+        ws = BatchWorkspace()
+        batch_pair_blocks(returns, 50, ["maronna", "combined"], workspace=ws)
+        held = ws.get("robust.work", (1,))
+        before = ws.nbytes
+        for m in (100, 200, 50):
+            batch_pair_blocks(returns, m, ["maronna"], workspace=ws)
+            assert np.shares_memory(held, ws.get("robust.work", (1,)))
+        assert ws.nbytes == before
 
 
 class TestPropertyBatchEqualsScalar:
@@ -141,6 +164,30 @@ class TestPropertyBatchEqualsScalar:
                 reference_pair_series(returns, 16, c), expected[c]
             )
 
+    @pytest.mark.parametrize("live_share", [0.0, 1.0])
+    def test_chunk_cap_and_compaction_cannot_change_results(
+        self, monkeypatch, live_share
+    ):
+        """Three-window chunks, and a working set that is never
+        recompacted (0.0) or recompacted before every step (1.0): when a
+        converged window stops being *evaluated* is a cost, not a result."""
+        import repro.corr.batch as batch_mod
+        import repro.corr.maronna as maronna_mod
+
+        rng = np.random.default_rng(16)
+        returns = random_returns(rng, 90, 4, constant_col=True)
+        returns[:, 1] = np.round(returns[:, 1] * 400.0)  # MAD = 0 windows
+        m = 14
+        expected = batch_pair_blocks(returns, m, ["maronna", "combined"])
+        monkeypatch.setattr(batch_mod, "_ROBUST_CHUNK_ELEMENTS", 3 * m)
+        monkeypatch.setattr(maronna_mod, "_COMPACT_LIVE_SHARE", live_share)
+        got = batch_pair_blocks(returns, m, ["maronna", "combined"])
+        for ctype, block in expected.items():
+            np.testing.assert_array_equal(got[ctype], block)
+            np.testing.assert_array_equal(
+                reference_pair_series(returns, m, ctype), block
+            )
+
     def test_nan_padding_alignment_matches_scalar(self):
         """The aligned (NaN warm-up embedded) series the engines feed the
         strategy are identical, NaNs included."""
@@ -186,6 +233,55 @@ class TestMaronnaConvergenceMask:
         assert np.isfinite(batch_capped).all()
         assert (np.abs(batch_capped) <= 1.0).all()
 
+    def test_unconverged_windows_are_counted(self):
+        """A window stopped by ``max_iter`` returns its last iterate; the
+        counters say how many did, and how much iterating was done."""
+        rng = np.random.default_rng(12)
+        returns = random_returns(rng, 30, 4, outlier_prob=0.0)
+        returns[::2, 0] += 50.0
+        returns[1::2, 1] -= 50.0
+        m, n_series = 12, 6 * (30 - 12 + 1)
+
+        def counters(config):
+            obs = Obs()
+            batch_pair_series(returns, m, "maronna", config, obs=obs)
+            return obs.to_dict()["metrics"]["counters"]
+
+        capped = counters(MaronnaConfig(max_iter=3, tol=1e-14))
+        assert 0 < capped["corr.batch.unconverged"] <= n_series
+        assert capped["corr.batch.fixed_point_windows"] == n_series
+        # Never more than max_iter steps a window.
+        assert capped["corr.batch.fixed_point_steps"] <= 3 * n_series
+        behaved = counters(None)
+        assert behaved["corr.batch.unconverged"] == 0
+        assert behaved["corr.batch.fixed_point_windows"] == n_series
+        assert (
+            n_series
+            <= behaved["corr.batch.fixed_point_steps"]
+            < MaronnaConfig().max_iter * n_series
+        )
+
+    def test_step_count_is_a_property_of_the_data(self, monkeypatch):
+        """Row-steps count updates made, not rows evaluated, so chunking
+        and compaction leave the figure alone."""
+        import repro.corr.batch as batch_mod
+        import repro.corr.maronna as maronna_mod
+
+        rng = np.random.default_rng(17)
+        returns = random_returns(rng, 80, 3)
+
+        def steps():
+            obs = Obs()
+            batch_pair_series(returns, 15, "maronna", obs=obs)
+            return obs.to_dict()["metrics"]["counters"][
+                "corr.batch.fixed_point_steps"
+            ]
+
+        expected = steps()
+        monkeypatch.setattr(batch_mod, "_ROBUST_CHUNK_ELEMENTS", 45)
+        monkeypatch.setattr(maronna_mod, "_COMPACT_LIVE_SHARE", 1.0)
+        assert steps() == expected
+
 
 class TestObsAttribution:
     def test_batch_metrics_and_span(self):
@@ -201,6 +297,34 @@ class TestObsAttribution:
         assert counters["corr.batch.chunks"] >= 1
         assert "corr.batch.pair_series.seconds" in d["metrics"]["histograms"]
         assert "corr.batch" in json.dumps(d["spans"])
+
+    def test_grouped_block_counts_one_fixed_point(self):
+        """Series and values are counted per treatment, fixed-point
+        windows per evaluation: asking for Maronna and Combined together
+        makes two blocks out of one evaluation."""
+        rng = np.random.default_rng(18)
+        returns = random_returns(rng, 60, 4)
+        n_win = 60 - 20 + 1
+        obs = Obs()
+        batch_pair_blocks(
+            returns, 20, ["pearson", "maronna", "combined"], obs=obs
+        )
+        counters = obs.to_dict()["metrics"]["counters"]
+        assert counters["corr.batch.pairs"] == 3 * 6
+        assert counters["corr.batch.windows"] == 3 * 6 * n_win
+        assert counters["corr.batch.fixed_point_windows"] == 6 * n_win
+        separate = Obs()
+        for ctype in ("maronna", "combined"):
+            batch_pair_series(returns, 20, ctype, obs=separate)
+        counters = separate.to_dict()["metrics"]["counters"]
+        assert counters["corr.batch.fixed_point_windows"] == 2 * 6 * n_win
+        # A Pearson block never touches the fixed point.
+        pearson = Obs()
+        batch_pair_series(returns, 20, "pearson", obs=pearson)
+        assert not any(
+            "fixed_point" in name or "unconverged" in name
+            for name in pearson.to_dict()["metrics"]["counters"]
+        )
 
     def test_disabled_obs_records_nothing(self):
         rng = np.random.default_rng(14)
@@ -291,6 +415,34 @@ class TestParallelEngineBackend:
                     np.testing.assert_array_equal(
                         got[(i, j)], corr_series(r[:, i], r[:, j], 25, "combined")
                     )
+
+    @pytest.mark.parametrize("mpi_backend", ["thread", "process"])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_grouped_equals_separate_equals_oracle(
+        self, correlated_returns, mpi_backend, size
+    ):
+        """One grouped evaluation of {maronna, combined} (plus the
+        window's Pearson) is, bit for bit, the separate blocks and the
+        per-window oracle — also on a rank whose pair block is empty."""
+        r = correlated_returns[:70]
+        m = 25
+        pairs = [(0, 1), (2, 3)]  # the third rank draws an empty block
+        wanted = ["pearson", "maronna", "combined"]
+
+        def prog(comm):
+            return parallel_pair_series(comm, r, m, wanted, pairs)
+
+        results = mpi.run_spmd(prog, size=size, backend=mpi_backend)
+        for ctype in wanted:
+            separate = batch_pair_series(r, m, ctype, pairs=pairs)
+            np.testing.assert_array_equal(
+                separate, reference_pair_series(r, m, ctype, pairs=pairs)
+            )
+            for got in results:
+                block = got[CorrelationType.parse(ctype)]
+                assert set(block) == set(pairs)
+                for p, pair in enumerate(pairs):
+                    np.testing.assert_array_equal(block[pair], separate[:, p])
 
     def test_matrix_series_batch_matches_serial(self, correlated_returns):
         # Two symbols are one pair: the second rank's block is empty.

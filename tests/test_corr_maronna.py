@@ -13,6 +13,7 @@ from repro.corr.maronna import (
     maronna_weights,
 )
 from repro.corr.pearson import pearson_corr
+from tests.oracle import frozen_maronna_corr_batched
 
 
 def bivariate_normal(rng, rho, n):
@@ -164,3 +165,93 @@ class TestBatched:
         a = maronna_corr(x, y, MaronnaConfig(max_iter=60))
         b = maronna_corr(x, y, MaronnaConfig(max_iter=200))
         assert a == pytest.approx(b, abs=1e-6)
+
+
+def adversarial_batch(rng, kind, B, m):
+    """A seeded ``(B, m)`` window pair of one of the shapes real bars and
+    hostile inputs take (see :class:`TestFrozenDefinition`)."""
+    x = rng.normal(size=(B, m))
+    y = 0.6 * x + 0.8 * rng.normal(size=(B, m))
+    if kind == "outliers":  # 5 % gross outliers in each series
+        x[rng.random((B, m)) < 0.05] *= 40.0
+        y[rng.random((B, m)) < 0.05] *= -40.0
+    elif kind == "integers":  # MAD = 0 on many rows -> std fallback
+        x, y = np.round(0.7 * x), np.round(0.7 * y)
+    elif kind == "constant-rows":  # degenerate -> 0.0
+        x[::3] = 2.5
+        y[1::4] = 0.0
+    elif kind == "identical":
+        y = x.copy()
+    elif kind == "tiny":
+        x *= 1e-4
+        y *= 1e-4
+    elif kind == "mixed":  # every branch inside one batch
+        x[::5] = np.round(x[::5])
+        y[::7] = 1.0
+        x[2::9] *= 1e-4
+        x[rng.random((B, m)) < 0.05] *= 40.0
+    else:
+        assert kind == "plain"
+    return x, y
+
+
+class TestFrozenDefinition:
+    """The production kernel against the estimator's frozen definition
+    (``tests/oracle.py``): equal bit for bit, whatever the batch holds
+    and wherever ``max_iter`` stops it."""
+
+    KINDS = (
+        "plain", "outliers", "integers", "constant-rows", "identical",
+        "tiny", "mixed",
+    )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_frozen_kernel(self, kind, seed):
+        gen = np.random.default_rng([seed, self.KINDS.index(kind)])
+        B = int(gen.choice([1, 2, 17, 300]))
+        m = int(gen.choice([3, 4, 20, 50, 101]))
+        x, y = adversarial_batch(gen, kind, B, m)
+        for max_iter in (1, 2, 3, 7, 20, 60):
+            cfg = MaronnaConfig(
+                max_iter=max_iter, tol=float(gen.choice([1e-8, 1e-14, 1e-3]))
+            )
+            np.testing.assert_array_equal(
+                maronna_corr_batched(x, y, cfg),
+                frozen_maronna_corr_batched(x, y, cfg),
+            )
+
+    def test_single_window_is_the_batch_row(self):
+        """``B == 1`` (what the per-window oracle calls) and the same
+        window inside a batch of 200 give the same bits."""
+        gen = np.random.default_rng(5)
+        x, y = adversarial_batch(gen, "mixed", 200, 30)
+        whole = maronna_corr_batched(x, y)
+        for row in (0, 1, 5, 7, 199):
+            one = maronna_corr_batched(x[row : row + 1], y[row : row + 1])
+            assert one[0] == whole[row]
+            assert one[0] == frozen_maronna_corr_batched(
+                x[row : row + 1], y[row : row + 1]
+            )[0]
+
+    def test_memory_layout_cannot_change_a_bit(self):
+        """The frozen body reduced a Fortran-ordered batch's std fallback
+        in another order than a C-ordered one's (last-ulp differences on
+        the MAD = 0 rows); the kernel works on its own C-ordered copy, so
+        every layout gives what the frozen body gives for C order."""
+        gen = np.random.default_rng(7)
+        x, y = adversarial_batch(gen, "integers", 700, 20)
+        expect = frozen_maronna_corr_batched(x, y)
+        got = maronna_corr_batched(np.asfortranarray(x), np.asfortranarray(y))
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(
+            maronna_corr_batched(x[::-1][::-1], y), expect
+        )
+
+    def test_inputs_are_not_written(self):
+        gen = np.random.default_rng(8)
+        x, y = adversarial_batch(gen, "outliers", 50, 20)
+        x0, y0 = x.copy(), y.copy()
+        maronna_corr_batched(x, y)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(y, y0)
