@@ -76,4 +76,25 @@ def test_figure1_pipeline_session(benchmark):
         "ranks, identical trades), communication profile:\n"
         + comm_profile
     )
-    emit("figure1_pipeline", text)
+    data = {
+        "bars": grid_time.smax,
+        "matrices": results["correlation"]["matrices_emitted"],
+        "trades": n_trades,
+        "orders": sink["accepted_orders"],
+        "cleaning": {
+            key: results["cleaning"][key]
+            for key in ("total", "rejected_outlier", "rejected_crossed")
+        },
+        "placement": {
+            str(r): list(map(str, rank_map.components_of(r))) for r in range(3)
+        },
+        "parallel_engine_ranks": {
+            str(r): {
+                "components": list(s["components"]),
+                "messages_local": s["messages_local"],
+                "messages_remote": s["messages_remote"],
+            }
+            for r, s in parallel_results["_runtime"].items()
+        },
+    }
+    emit("figure1_pipeline", text, data)

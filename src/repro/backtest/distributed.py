@@ -2,21 +2,20 @@
 
 The paper's target architecture: correlation computation happens once,
 market-wide, inside the platform, and strategy evaluation is distributed.
-Per day:
+Three stages, and a rank trades the pairs it correlates:
 
-1. rank 0 prepares the day's bars and broadcasts them (the data-adapter
-   stage of Figure 1);
-2. for each distinct window M in the parameter grid, every pair's
-   correlation series under each treatment the grid uses at that window
-   is computed exactly once — and so is every Maronna fixed point: the
-   Combined series is derived from the window's Maronna evaluation, not
-   from a second one — with the pair blocks distributed across ranks
-   (:func:`~repro.corr.parallel.parallel_pair_series`); this removes "the
-   main bottleneck, the computation of all pair-wise correlations";
-3. the (pair, parameter set) strategy runs are partitioned by pair across
-   ranks, each rank reusing the shared correlation series for all its
-   parameter sets;
-4. per-rank partial :class:`~repro.backtest.results.ResultStore`\\ s are
+1. per day, rank 0 prepares the bars and broadcasts them (the
+   data-adapter stage of Figure 1) — or the provider's error, so a day
+   nobody can serve fails every rank at once;
+2. each rank takes its shard of the pairs
+   (:func:`~repro.elastic.sharding.shard_pairs`), computes the shard's
+   correlation series — and every Maronna fixed point — exactly once
+   per (window M, treatment) of the grid
+   (:func:`~repro.backtest.runner.shared_corr_for`) and runs the
+   shard's (pair, parameter set) cells off those blocks.  No series
+   leaves its rank, which removes "the main bottleneck, the computation
+   of all pair-wise correlations" without a hand-off in its place;
+3. per-rank partial :class:`~repro.backtest.results.ResultStore`\\ s are
    gathered and merged at the master, which is where the paper hangs risk
    management and basket execution.
 
@@ -31,17 +30,15 @@ from repro.backtest.results import ResultStore
 from repro.backtest.runner import (
     CellFailure,
     run_cells,
-    specs_by_window,
+    shared_corr_for,
     validate_study,
 )
 from repro.corr.batch import BatchWorkspace
 from repro.corr.maronna import MaronnaConfig
-from repro.corr.parallel import parallel_pair_series
 from repro.elastic.sharding import shard_pairs
 from repro.mpi.api import Comm
 from repro.obs import Obs, comm_obs, resolve
 from repro.strategy.costs import ExecutionModel
-from repro.strategy.engine import align_corr_series
 from repro.strategy.params import StrategyParams
 
 
@@ -89,11 +86,9 @@ class DistributedBacktester:
         store = ResultStore()
         failures = [] if on_error == "continue" else None
         self.last_failures = []
-        # Stable-hash sharding (not contiguous blocks): a pair's shard is a
-        # pure function of its id, so membership survives pool resizes and
-        # the merged store is identical at any rank count.
+        # The one placement rule: this rank correlates and trades its
+        # shard, and the merged store is identical at any rank count.
         my_pairs = shard_pairs(pairs, comm.size)[comm.rank]
-        windows = specs_by_window(grid)
         # This rank's kernel scratch for the whole run (the backtester
         # itself is shared by the rank threads, so it cannot own one).
         workspace = BatchWorkspace()
@@ -113,41 +108,27 @@ class DistributedBacktester:
                                     self.provider.prices(day),
                                     self.provider.returns(day),
                                 )
-                            except ValueError as exc:
+                            except Exception as exc:
                                 bundle = exc
                         bundle = comm.bcast(bundle, root=0)
-                        if isinstance(bundle, ValueError):
+                        if isinstance(bundle, Exception):
                             raise bundle
                         prices, returns = bundle
-                    smax = prices.shape[0]
 
-                    # Stage 2: each correlation series computed exactly once
-                    # (one call per window: its Maronna and Combined share a
-                    # fixed point), pair-blocks distributed, result
-                    # replicated on all ranks.
+                    # Stage 2: this shard's series, each computed once,
+                    # then its cells reading those blocks.
                     with obs.trace.span("correlation"):
-                        series = {
-                            m: parallel_pair_series(
-                                comm, returns, m, ctypes, pairs,
-                                self.maronna_config, workspace,
-                            )
-                            for m, ctypes in windows.items()
-                        }
-
-                    # Stage 3: strategy runs for this rank's pair block, all
-                    # parameter sets, reusing the shared series.
+                        corr_for = shared_corr_for(
+                            returns, prices.shape[0], my_pairs, grid,
+                            self.maronna_config, obs, workspace,
+                        )
                     with obs.trace.span("strategy", pairs=len(my_pairs)):
                         run_cells(
-                            store, prices, day, my_pairs, grid,
-                            lambda i, j, params: align_corr_series(
-                                series[params.m][params.ctype][(i, j)],
-                                smax, params.m,
-                            ),
+                            store, prices, day, my_pairs, grid, corr_for,
                             obs, self.execution, failures,
                         )
 
-            # Stage 4: gather partial stores at the master, merge, share
-            # back.
+            # Stage 3: gather partial stores at the master, merge, share.
             with obs.trace.span("gather_merge"):
                 partials = comm.gather(store, root=0)
                 if comm.rank == 0:

@@ -178,6 +178,36 @@ def run_cells(
             store.add((i, j), k, day, [t.ret for t in trades])
 
 
+def shared_corr_for(
+    returns: np.ndarray,
+    smax: int,
+    pairs: list[tuple[int, int]],
+    grid: list[StrategyParams],
+    maronna_config: MaronnaConfig | None,
+    obs: Obs,
+    workspace: BatchWorkspace,
+) -> Callable[[int, int, StrategyParams], np.ndarray]:
+    """The shared source: every series of ``pairs`` computed exactly once.
+
+    One :func:`~repro.corr.batch.batch_pair_blocks` call per window of the
+    grid (its Maronna and Combined specs share one fixed point); the
+    returned ``corr_for`` aligns a column of the matching block.  This is
+    the whole of a day's correlation work for ``share_correlation=True``
+    over every pair and for an Approach-3 rank over its shard.
+    """
+    column = {pair: p for p, pair in enumerate(pairs)}
+    blocks = {
+        m: batch_pair_blocks(
+            returns, m, ctypes, maronna_config, pairs=pairs, obs=obs,
+            workspace=workspace,
+        )
+        for m, ctypes in specs_by_window(grid).items()
+    }
+    return lambda i, j, params: align_corr_series(
+        blocks[params.m][params.ctype][:, column[(i, j)]], smax, params.m
+    )
+
+
 def _own_corr(
     pair_prices: np.ndarray,
     params: StrategyParams,
@@ -222,12 +252,10 @@ class SequentialBacktester:
 
     By default every job recomputes its own correlation series (the
     paper's Approach-2 cost profile).  ``share_correlation=True`` instead
-    fills a per-day cache with one
-    :func:`~repro.corr.batch.batch_pair_blocks` call per window (its
-    Maronna and Combined specs share one fixed point), leaving every
-    trade bitwise identical; the per-job
-    clock then covers only the strategy scan and the correlation cost
-    lands in ``corr.batch.*``.
+    reads the day's series from :func:`shared_corr_for` — what an
+    Approach-3 rank runs on its shard — leaving every trade bitwise
+    identical; the per-job clock then covers only the strategy scan and
+    the correlation cost lands in ``corr.batch.*``.
     """
 
     def __init__(
@@ -282,22 +310,12 @@ class SequentialBacktester:
 
     def _corr_source(self, prices, pairs, grid, day):
         """The day's ``corr_for``: each job computes its own series, or
-        (shared) reads a cache filled by one batch evaluation per window."""
+        (shared) reads blocks filled by one batch evaluation per window."""
         if not self.share_correlation:
             return lambda i, j, params: _own_corr(
                 prices[:, [i, j]], params, self.maronna_config
             )
-        returns = self.provider.returns(day)
-        smax = prices.shape[0]
-        cache: dict[tuple, np.ndarray] = {}
-        for m, ctypes in specs_by_window(grid).items():
-            blocks = batch_pair_blocks(
-                returns, m, ctypes, self.maronna_config, pairs=pairs,
-                obs=self.obs, workspace=self._workspace,
-            )
-            for ctype, block in blocks.items():
-                for p, (i, j) in enumerate(pairs):
-                    cache[(i, j, m, ctype)] = align_corr_series(
-                        block[:, p], smax, m
-                    )
-        return lambda i, j, params: cache[(i, j, params.m, params.ctype)]
+        return shared_corr_for(
+            self.provider.returns(day), prices.shape[0], pairs, grid,
+            self.maronna_config, self.obs, self._workspace,
+        )

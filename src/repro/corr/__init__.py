@@ -58,11 +58,7 @@ from repro.corr.measures import (
     pairwise_corr,
 )
 from repro.corr.online import OnlineCorrelationEngine
-from repro.corr.parallel import (
-    ParallelCorrelationEngine,
-    parallel_pair_series,
-    partition_pairs,
-)
+from repro.corr.parallel import ParallelCorrelationEngine
 from repro.corr.pearson import (
     pearson_corr,
     pearson_corr_batched,
@@ -98,8 +94,6 @@ __all__ = [
     "maronna_weights",
     "nearest_psd_correlation",
     "pairwise_corr",
-    "parallel_pair_series",
-    "partition_pairs",
     "pearson_corr",
     "pearson_corr_batched",
     "pearson_matrix",

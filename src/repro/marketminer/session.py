@@ -17,6 +17,7 @@ import threading
 from typing import Any, Callable
 
 from repro.corr.maronna import MaronnaConfig
+from repro.elastic.sharding import shard_pairs
 from repro.marketminer.component import Component
 from repro.marketminer.components.bar_accumulator import BarAccumulatorComponent
 from repro.marketminer.components.cleaning import CleaningComponent
@@ -51,8 +52,9 @@ def build_figure1_workflow(
 
     All parameter sets must share (Δs, M, Ctype) — one correlation *spec*
     per workflow, as drawn in the figure.  With ``n_corr_engines > 1``
-    the correlation work is split into that many pair-block engines fed
-    from the same return stream — the figure's "Parallel Correlation
+    the correlation work is split into that many pair-shard engines
+    (:func:`~repro.elastic.sharding.shard_pairs`) fed from the same
+    return stream — the figure's "Parallel Correlation
     Engine" — and the strategy component joins the blocks per interval.
     """
     if not params_grid:
@@ -93,11 +95,8 @@ def build_figure1_workflow(
             )
         )
     else:
-        from repro.corr.parallel import partition_pairs
-
-        blocks = partition_pairs(pairs, n_corr_engines)
         engine_names = []
-        for b, block in enumerate(blocks):
+        for b, block in enumerate(shard_pairs(pairs, n_corr_engines)):
             if not block:
                 continue  # more engines than pairs: drop the idle ones
             name = f"correlation_{b}"

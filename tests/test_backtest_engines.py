@@ -22,7 +22,9 @@ from repro.backtest.runner import (
     backtest_pair_day,
 )
 from repro.backtest.sweep import SweepConfig, run_sweep
+from repro.corr.batch import batch_pair_series
 from repro.mpi.inproc import SpmdFailure
+from repro.mpi.procs import RemoteRankError
 from repro.obs import Obs, attach_to_comm
 from repro.strategy.costs import execution_salt
 from repro.strategy.engine import align_corr_series, run_pair_day
@@ -176,28 +178,52 @@ class TestEquivalence:
         assert len(results[0]) == len(pairs) * len(grid) * len(days)
 
 
+def _oracle_store(provider, pairs, grid, days):
+    """The study's store built from ``tests/oracle.py``'s per-window
+    series — an answer none of the engines computed."""
+    store = ResultStore()
+    for day in days:
+        prices, returns = provider.prices(day), provider.returns(day)
+        for k, params in enumerate(grid):
+            block = reference_pair_series(
+                returns, params.m, params.ctype, pairs=pairs
+            )
+            for p, (i, j) in enumerate(pairs):
+                corr = align_corr_series(block[:, p], provider.smax, params.m)
+                trades = run_pair_day(
+                    prices[:, [i, j]], corr, params,
+                    salt=execution_salt((i, j), k),
+                )
+                store.add((i, j), k, day, [t.ret for t in trades])
+    return store
+
+
+def _approach3_counters(provider, pairs, grid, days, size, backend="thread"):
+    """An Approach-3 run with obs attached to each rank's communicator (as
+    ``run_sweep`` does): the merged store and the counters summed over
+    the ranks, ``mpi.*`` included."""
+
+    def spmd(comm):
+        local = Obs()
+        attach_to_comm(comm, local)
+        store = DistributedBacktester(provider).run(comm, pairs, grid, days)
+        return store, local.to_dict()["metrics"]["counters"]
+
+    results = mpi.run_spmd(spmd, size=size, backend=backend, default_timeout=30)
+    totals: dict[str, int] = {}
+    for _, counters in results:
+        for name, value in counters.items():
+            totals[name] = totals.get(name, 0) + value
+    return results[0][0], totals
+
+
 class TestBatchBackendEquivalence:
     """Every engine's batch-kernel correlations reproduce a store built
     from the per-window oracle — an answer none of the engines computed."""
 
     @pytest.fixture(scope="class")
     def oracle_store(self, provider, small_setup):
-        pairs, grid, days = small_setup
-        store = ResultStore()
-        for day in days:
-            prices, returns = provider.prices(day), provider.returns(day)
-            for k, params in enumerate(grid):
-                block = reference_pair_series(
-                    returns, params.m, params.ctype, pairs=pairs
-                )
-                for p, (i, j) in enumerate(pairs):
-                    corr = align_corr_series(block[:, p], provider.smax, params.m)
-                    trades = run_pair_day(
-                        prices[:, [i, j]], corr, params,
-                        salt=execution_salt((i, j), k),
-                    )
-                    store.add((i, j), k, day, [t.ret for t in trades])
-        return store
+        return _oracle_store(provider, *small_setup)
 
     def test_sequential_batch(self, provider, small_setup, oracle_store):
         pairs, grid, days = small_setup
@@ -356,26 +382,14 @@ class TestEachSeriesOnce:
         windows = sorted({p.m for p in grid})
         assert windows == [50, 100, 200] and len(grid) == 42
 
-        def spmd(comm):
-            local = Obs()
-            attach_to_comm(comm, local)  # as run_sweep does
-            store = DistributedBacktester(provider).run(
-                comm, pairs, grid, [0]
-            )
-            return store, local.to_dict()["metrics"]["counters"]
-
-        results = mpi.run_spmd(spmd, size=2, default_timeout=30)
-        assert len(results[0][0]) == len(pairs) * len(grid)
+        store, totals = _approach3_counters(provider, pairs, grid, [0], 2)
+        assert len(store) == len(pairs) * len(grid)
         n_returns = provider.smax - 1
         per_day = sum(len(pairs) * (n_returns - m + 1) for m in windows)
-
-        def total(name):
-            return sum(counters.get(name, 0) for _, counters in results)
-
-        assert total("corr.batch.fixed_point_windows") == per_day
-        assert total("corr.batch.windows") == 3 * per_day  # nine series sets
-        assert total("corr.batch.unconverged") == 0
-        assert total("corr.batch.fixed_point_steps") >= per_day
+        assert totals["corr.batch.fixed_point_windows"] == per_day
+        assert totals["corr.batch.windows"] == 3 * per_day  # nine series sets
+        assert totals["corr.batch.unconverged"] == 0
+        assert totals["corr.batch.fixed_point_steps"] >= per_day
 
 
 #: Studies every engine must refuse before doing any work.
@@ -581,3 +595,188 @@ class TestHostileDays:
         assert sorted(errors) == [0, 1, 2]
         assert all(type(e) is ValueError for e in errors.values())
         assert all("need at least 30 return rows" in str(e) for e in errors.values())
+
+    @pytest.mark.parametrize("mpi_backend", ["thread", "process"])
+    def test_missing_day_is_the_providers_error_on_every_rank(
+        self, tmp_path, mpi_backend
+    ):
+        """A store that does not hold the day raises ``KeyError`` on rank
+        0; every rank must raise it at once — not rank 0 alone with its
+        peers reporting ``RecvTimeout`` once the timeout has run out."""
+        from repro.store import StoreQuoteSource, StoreReader, ingest_synthetic
+
+        market = STUDY.build_market()
+        ingest_synthetic(tmp_path, market, n_days=1, n_shards=1)
+        provider = BarProvider(
+            StoreQuoteSource(StoreReader(tmp_path)),
+            TimeGrid(STUDY.delta_s, trading_seconds=STUDY.trading_seconds),
+        )
+
+        def spmd(comm):
+            return DistributedBacktester(provider).run(
+                comm, [(0, 1), (2, 3)], [BASE], [7]
+            )
+
+        t0 = time.perf_counter()
+        with pytest.raises((SpmdFailure, RemoteRankError)) as exc:
+            mpi.run_spmd(spmd, size=2, backend=mpi_backend, default_timeout=5)
+        assert time.perf_counter() - t0 < 1.0
+        errors = exc.value.errors
+        assert sorted(errors) == [0, 1]
+        for error in errors.values():
+            if mpi_backend == "thread":  # the exception itself
+                error = (type(error).__name__, str(error))
+            assert error[0] == "KeyError"  # process: (type, message, tb)
+            assert "day 7 not in store" in error[1]
+
+    # -- a symbol that halts *inside* robust windows -------------------------
+
+    #: Return rows that are exactly 0.0 for the halted symbol, of a
+    #: 389-row day: longer than M = 50 and 100 (whole windows of zeros:
+    #: MAD and std both 0, the degenerate branch), shorter than M = 200
+    #: (MAD 0 with a live std: the fallback scale).
+    HALT_ROWS = slice(100, 261)
+    HALT_WINDOWS = (50, 100, 200)
+
+    @pytest.fixture(scope="class")
+    def halted(self):
+        class HaltedProvider(BarProvider):
+            def prices(self, day):
+                if day not in self._price_cache:
+                    prices = super().prices(day).copy()
+                    rows = TestHostileDays.HALT_ROWS
+                    prices[rows.start : rows.stop + 1, 1] = prices[rows.start, 1]
+                    self._price_cache[day] = prices
+                return self._price_cache[day]
+
+        market = SyntheticMarket(
+            default_universe(3),
+            SyntheticMarketConfig(trading_seconds=390 * 30, quote_rate=0.7),
+            seed=404,
+        )
+        provider = HaltedProvider(market, TimeGrid(30, trading_seconds=390 * 30))
+        grid = [
+            replace(BASE, m=m).with_ctype(ctype)
+            for m in self.HALT_WINDOWS
+            for ctype in ("pearson", "maronna", "combined")
+        ]
+        returns = provider.returns(0)
+        assert returns.shape == (389, 3)
+        assert (returns[self.HALT_ROWS, 1] == 0.0).all()
+        assert (returns[:, [0, 2]] != 0.0).all(axis=1).sum() > 300
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        # The halt bites: whole windows of zeros read 0.0 under the robust
+        # treatment, windows straddling the halt's edge do not.
+        for m in (50, 100):
+            block = batch_pair_series(returns, m, "maronna", pairs=pairs)
+            inside = slice(self.HALT_ROWS.start, self.HALT_ROWS.stop - m + 1)
+            assert (block[inside, 0] == 0.0).all()
+            assert (block[inside, 2] == 0.0).all()
+            assert (block[inside, 1] != 0.0).all()  # the untouched pair
+            assert block[self.HALT_ROWS.start - m // 4, 0] != 0.0
+        return provider, pairs, grid, _oracle_store(provider, pairs, grid, [0])
+
+    #: route -> (ranks or engine options, number of pairs).  Three ranks on
+    #: two pairs leaves one shard empty.
+    HALT_ROUTES = {
+        "approach1": (MatrixSeriesBacktester, {}, 3),
+        "approach2": (SequentialBacktester, {}, 3),
+        "approach2-shared": (SequentialBacktester, {"share_correlation": True}, 3),
+        "approach3-1rank": (DistributedBacktester, 1, 3),
+        "approach3-2ranks": (DistributedBacktester, 2, 3),
+        "approach3-3ranks": (DistributedBacktester, 3, 3),
+        "approach3-3ranks-2pairs": (DistributedBacktester, 3, 2),
+    }
+
+    @pytest.mark.parametrize("route", HALT_ROUTES)
+    def test_halt_inside_robust_windows_same_store_as_oracle(self, route, halted):
+        engine, how, n_pairs = self.HALT_ROUTES[route]
+        provider, pairs, grid, expected = halted
+        pairs = pairs[:n_pairs]
+        if engine is DistributedBacktester:
+
+            def spmd(comm):
+                return engine(provider).run(comm, pairs, grid, [0])
+
+            stores = mpi.run_spmd(spmd, size=how, default_timeout=10)
+        else:
+            stores = [engine(provider, **how).run(pairs, grid, [0])]
+        assert expected.n_trades > 0
+        for store in stores:
+            assert len(store) == n_pairs * len(grid)
+            for pair in pairs:
+                for k in range(len(grid)):
+                    np.testing.assert_array_equal(
+                        store.cell(pair, k, 0), expected.cell(pair, k, 0)
+                    )
+
+
+#: What the parent of the PR that deleted the per-window all-gather sent
+#: between ranks for ``TestRankTradesWhatItCorrelates.study`` (summed
+#: ``mpi.sent.bytes``, the same on both MPI backends), by rank count.
+PARENT_SENT_BYTES = {2: 1_407_392, 3: 2_514_016}
+
+
+class TestRankTradesWhatItCorrelates:
+    """Approach 3 communicates twice — the bars out, the stores back.  No
+    correlation series crosses between ranks, and the work summed over
+    the ranks is the one-rank run's."""
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        cfg = SyntheticMarketConfig(trading_seconds=23_400 // 4, quote_rate=0.7)
+        market = SyntheticMarket(default_universe(16), cfg, seed=404)
+        provider = BarProvider(
+            market, TimeGrid(30, trading_seconds=cfg.trading_seconds)
+        )
+        provider.prices(0)  # built once, before any rank asks
+        grid = [
+            replace(BASE, m=m).with_ctype(ctype)
+            for m in (30, 60)
+            for ctype in ("pearson", "maronna", "combined")
+        ]
+        return provider, list(market.universe.pairs()), grid
+
+    @staticmethod
+    def _approach3(study, size, backend="thread"):
+        provider, pairs, grid = study
+        return _approach3_counters(provider, pairs, grid, [0], size, backend)
+
+    @pytest.fixture(scope="class")
+    def one_rank(self, study):
+        return self._approach3(study, 1)
+
+    @pytest.mark.parametrize("mpi_backend", ["thread", "process"])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_no_series_crosses_between_ranks(
+        self, study, one_rank, size, mpi_backend
+    ):
+        store, totals = self._approach3(study, size, mpi_backend)
+        reference, reference_totals = one_rank
+        assert store == reference
+        assert "mpi.coll.allgather.count" not in totals
+        # One bars broadcast a day, one store gather, one merged broadcast.
+        assert totals["mpi.coll.bcast.count"] == 2 * size
+        assert totals["mpi.coll.gather.count"] == size
+        assert totals["mpi.sent.bytes"] <= 0.1 * PARENT_SENT_BYTES[size]
+        for name in (
+            "backtest.jobs",
+            "corr.batch.fixed_point_windows",
+            "corr.batch.unconverged",
+        ):
+            assert totals[name] == reference_totals[name], name
+        assert totals["backtest.jobs"] == len(reference)
+
+    def test_one_rank_is_the_shared_sequential_engine(self, study, one_rank):
+        provider, pairs, grid = study
+        obs = Obs()
+        shared = SequentialBacktester(
+            provider, share_correlation=True, obs=obs
+        ).run(pairs, grid, [0])
+        store, totals = one_rank
+        assert store == shared
+        counters = obs.to_dict()["metrics"]["counters"]
+        names = [n for n in counters if n.startswith("corr.batch.")]
+        assert len(names) >= 6
+        for name in names + ["backtest.jobs"]:
+            assert totals[name] == counters[name], name

@@ -23,7 +23,8 @@ from repro.corr.batch import (
 )
 from repro.corr.maronna import MaronnaConfig
 from repro.corr.measures import CorrelationType, all_pairs
-from repro.corr.parallel import ParallelCorrelationEngine, parallel_pair_series
+from repro.corr.parallel import ParallelCorrelationEngine
+from repro.elastic.sharding import shard_pairs
 from repro.obs import Obs
 from repro.strategy.engine import align_corr_series
 from repro.strategy.params import StrategyParams
@@ -422,27 +423,32 @@ class TestParallelEngineBackend:
         self, correlated_returns, mpi_backend, size
     ):
         """One grouped evaluation of {maronna, combined} (plus the
-        window's Pearson) is, bit for bit, the separate blocks and the
-        per-window oracle — also on a rank whose pair block is empty."""
+        window's Pearson) per shard — what an Approach-3 rank runs — is,
+        bit for bit, the separate blocks and the per-window oracle, also
+        on a rank whose shard is empty."""
         r = correlated_returns[:70]
         m = 25
-        pairs = [(0, 1), (2, 3)]  # the third rank draws an empty block
+        pairs = [(0, 1), (2, 3)]  # the third rank draws an empty shard
         wanted = ["pearson", "maronna", "combined"]
 
         def prog(comm):
-            return parallel_pair_series(comm, r, m, wanted, pairs)
+            mine = shard_pairs(pairs, comm.size)[comm.rank]
+            return mine, batch_pair_blocks(r, m, wanted, pairs=mine)
 
         results = mpi.run_spmd(prog, size=size, backend=mpi_backend)
+        assert sorted(p for mine, _ in results for p in mine) == pairs
         for ctype in wanted:
             separate = batch_pair_series(r, m, ctype, pairs=pairs)
             np.testing.assert_array_equal(
                 separate, reference_pair_series(r, m, ctype, pairs=pairs)
             )
-            for got in results:
-                block = got[CorrelationType.parse(ctype)]
-                assert set(block) == set(pairs)
-                for p, pair in enumerate(pairs):
-                    np.testing.assert_array_equal(block[pair], separate[:, p])
+            for mine, blocks in results:
+                block = blocks[CorrelationType.parse(ctype)]
+                assert block.shape == (r.shape[0] - m + 1, len(mine))
+                for p, pair in enumerate(mine):
+                    np.testing.assert_array_equal(
+                        block[:, p], separate[:, pairs.index(pair)]
+                    )
 
     def test_matrix_series_batch_matches_serial(self, correlated_returns):
         # Two symbols are one pair: the second rank's block is empty.

@@ -6,24 +6,22 @@ same session run at a fixed pool size — component results and folded
 domain counters alike, on both MPI backends.  Around it: plan
 validation is pointed, mid-epoch resize requests defer to the next
 boundary, capacity violations fail before any epoch runs, pair shards
-are a pure function of the pair (never the rank count), and a pool
-that keeps crashing can shed a rank (crash-as-shrink) while keeping
+are balanced and a function of the pair set alone (never of arrival
+order or id type), and a pool that keeps crashing can shed a rank (crash-as-shrink) while keeping
 the invariant.
 """
 
 import json
 import os
+import random
 
+import numpy as np
 import pytest
 
 from repro.backtest.data import BarProvider
 from repro.backtest.distributed import DistributedBacktester
-from repro.elastic import (
-    ResizePlan,
-    ResizeRequest,
-    shard_pairs,
-    stable_shard,
-)
+from repro.corr.measures import all_pairs
+from repro.elastic import ResizePlan, ResizeRequest, shard_pairs
 from repro.faults import (
     ChaosUnrecoverable,
     DegradePolicy,
@@ -113,9 +111,9 @@ class TestResizePlan:
 
 
 class TestStableSharding:
-    """Pair→shard placement is a pure function of the pair, never of
-    arrival order, process salt, or (within a shard's membership test)
-    the previous pool size."""
+    """The one placement rule (sorted pairs dealt round-robin): shards
+    are a function of the *set* of pairs and the size — never of arrival
+    order or integer type — and balanced within one."""
 
     def pairs(self, n=40):
         return [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))]
@@ -129,41 +127,58 @@ class TestStableSharding:
         assert sorted(flat) == sorted(pairs)
         assert len(flat) == len(pairs)  # no pair placed twice
 
-    def test_order_within_shard_preserves_input_order(self):
-        pairs = self.pairs()
-        for shard in shard_pairs(pairs, 4):
-            assert shard == sorted(shard, key=pairs.index)
+    def test_balanced_within_one(self):
+        """0, 1, 6, 276 and 1 830 pairs (the paper's universe): the hash
+        this replaced split them 4/2, 144/132 and 930/900 on two ranks."""
+        for n_symbols in (1, 2, 4, 24, 61):
+            pairs = all_pairs(n_symbols)
+            assert len(pairs) in (0, 1, 6, 276, 1830)
+            for size in range(1, 9):
+                lengths = [len(shard) for shard in shard_pairs(pairs, size)]
+                assert sum(lengths) == len(pairs)
+                assert max(lengths) - min(lengths) <= 1
 
     def test_placement_is_input_order_independent(self):
         pairs = self.pairs()
-        a = {p: stable_shard(p, 5) for p in pairs}
-        b = {p: stable_shard(p, 5) for p in reversed(pairs)}
-        assert a == b
+        shuffled = list(pairs)
+        random.Random(5).shuffle(shuffled)
+        for size in (1, 2, 3, 5):
+            expected = shard_pairs(pairs, size)
+            assert shard_pairs(pairs[::-1], size) == expected
+            assert shard_pairs(shuffled, size) == expected
 
-    def test_stable_shard_matches_shard_pairs(self):
-        pairs = self.pairs()
-        shards = shard_pairs(pairs, 3)
-        for rank, shard in enumerate(shards):
-            for p in shard:
-                assert stable_shard(p, 3) == rank
+    def test_int_and_numpy_ids_shard_alike(self):
+        """Ids read out of an array place as plain ints do (the hash keyed
+        on ``repr``: under NumPy 2, 44 of these 66 pairs moved)."""
+        pairs = all_pairs(12)
+        from_array = [tuple(row) for row in np.asarray(pairs)]
+        assert type(from_array[0][0]) is not int
+        assert shard_pairs(from_array, 3) == shard_pairs(pairs, 3)
 
-    def test_known_hash_values_are_process_stable(self):
-        # FNV-1a is deterministic across processes (unlike salted
-        # ``hash()``); pin a value so an accidental algorithm change
-        # shows up as a pointed failure rather than silent re-sharding.
-        assert stable_shard((0, 1), 4) == stable_shard((0, 1), 4)
-        before = json.dumps(
-            [stable_shard((i, i + 1), 8) for i in range(16)]
-        )
-        after = json.dumps(
-            [stable_shard((i, i + 1), 8) for i in range(16)]
-        )
-        assert before == after
+    def test_deleted_placement_rules_are_gone(self):
+        """One function splits a pair list; the others are deleted, not
+        kept beside it."""
+        import repro.corr
+        import repro.corr.parallel
+        import repro.elastic.sharding
+
+        for module, name in (
+            (repro.elastic, "stable_shard"),
+            (repro.elastic.sharding, "stable_shard"),
+            (repro.elastic.sharding, "_fnv1a"),
+            (repro.corr, "partition_pairs"),
+            (repro.corr.parallel, "partition_pairs"),
+            (repro.corr, "parallel_pair_series"),
+            (repro.corr.parallel, "parallel_pair_series"),
+            (repro.corr.parallel.ParallelCorrelationEngine, "matrix"),
+        ):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_distributed_backtest_identical_across_pool_sizes(self, size):
-        """The stage-3 strategy shards moved to stable hashing; the
-        merged store must not depend on the rank count."""
+        """Which rank correlates and trades a pair changes with the pool
+        size; the merged store must not."""
         market = SyntheticMarket(
             default_universe(6),
             SyntheticMarketConfig(trading_seconds=2400, quote_rate=0.9),
