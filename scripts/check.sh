@@ -76,7 +76,7 @@ run_and_match '^elastic session: pool 2->4->2,' timeout 10 \
 echo "== work-stealing makespan smoke check =="
 python -m benchmarks.bench_elastic --smoke
 
-echo "== overhead gates (obs, live sampler, comm tracer, fault seam, shared fixed point) =="
+echo "== overhead gates (obs, live sampler, comm tracer, fault seam, shared fixed point, streamed bars) =="
 python -m benchmarks.overhead_gates
 
 echo "all checks passed"

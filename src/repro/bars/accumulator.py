@@ -1,18 +1,18 @@
 """Bar accumulation: quote streams → per-interval BAM/OHLC bars.
 
-Two modes of use:
-
-* :func:`accumulate_bam` / :func:`accumulate_ohlc` — vectorised batch
-  accumulation of a whole day's quotes, used by the backtesting engines;
-* :class:`StreamingBarAccumulator` — incremental, one-quote-at-a-time
-  accumulation, used by the MarketMiner pipeline component, producing bars
-  identical to the batch functions (tested property).
+One OHLC reduction, :func:`_ohlc_cells`, and two callers, so the bars of
+the two cannot differ: :func:`accumulate_ohlc` runs it over a day (a cell
+is an (interval, symbol); empty cells take the day's filled closes) for
+the backtests, :class:`StreamingBarAccumulator` over one interval (a cell
+is a symbol; empty cells take the previous close) for the MarketMiner
+pipeline.
 
 Empty intervals are forward-filled from the previous close (a stock that
 does not quote still has a standing price); intervals before a symbol's
 first quote are back-filled from that first quote so the output grid is
 rectangular, matching how the paper treats infrequently trading stocks via
-the BAM "approximation to the actual price level between trades".
+the BAM "approximation to the actual price level between trades".  A
+stream cannot see the first quote coming: its rows are NaN until then.
 """
 
 from __future__ import annotations
@@ -82,6 +82,36 @@ def accumulate_bam(
     return out
 
 
+def _ohlc_cells(
+    cell: np.ndarray, bam: np.ndarray, standing: np.ndarray
+) -> np.ndarray:
+    """Open/high/low/close/count of ``bam`` per cell; flat :data:`OHLC_DTYPE`.
+
+    ``cell[i]`` is the cell of (chronological) quote ``i``, an index into
+    ``standing``; a cell nobody quoted carries its ``standing`` price in
+    all four price fields and ``count == 0``.
+    """
+    out = np.zeros(standing.size, dtype=OHLC_DTYPE)
+    for f in ("open", "high", "low", "close"):
+        out[f] = standing
+    if cell.size == 0:
+        return out
+    # Stable: a cell's quotes stay in stream order, first = open, last = close.
+    order = np.argsort(cell, kind="stable")
+    sorted_cell = cell[order]
+    sorted_bam = bam[order]
+    change = np.flatnonzero(sorted_cell[1:] != sorted_cell[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [cell.size]))
+    hit = sorted_cell[starts]
+    out["open"][hit] = sorted_bam[starts]
+    out["high"][hit] = np.maximum.reduceat(sorted_bam, starts)
+    out["low"][hit] = np.minimum.reduceat(sorted_bam, starts)
+    out["close"][hit] = sorted_bam[ends - 1]
+    out["count"][hit] = ends - starts
+    return out
+
+
 def accumulate_ohlc(
     records: np.ndarray, grid: TimeGrid, n_symbols: int
 ) -> np.ndarray:
@@ -90,47 +120,18 @@ def accumulate_ohlc(
     Empty intervals carry the forward-filled close in all four price fields
     and ``count == 0``.
     """
-    validate_quote_array(records, n_symbols=n_symbols)
-    if records.size == 0:
-        raise ValueError("cannot accumulate bars from an empty quote stream")
+    closes = accumulate_bam(records, grid, n_symbols)
     s_idx = _interval_indices(records["t"], grid)
     bam = 0.5 * (records["bid"] + records["ask"])
-    sym = records["symbol"]
-
-    out = np.zeros((grid.smax, n_symbols), dtype=OHLC_DTYPE)
-    out["high"][:] = -np.inf
-    out["low"][:] = np.inf
-    out["open"][:] = np.nan
-    out["close"][:] = np.nan
-
-    np.maximum.at(out["high"], (s_idx, sym), bam)
-    np.minimum.at(out["low"], (s_idx, sym), bam)
-    np.add.at(out["count"], (s_idx, sym), 1)
-    # First/last quote per (interval, symbol) give open/close.  Duplicate
-    # fancy-index assignment order is undefined in NumPy, so resolve the
-    # occurrences explicitly: records are chronological, so the first
-    # occurrence of each key is the open and the last is the close.
-    key = s_idx * np.int64(n_symbols) + sym
-    _, first_pos = np.unique(key, return_index=True)
-    out["open"][s_idx[first_pos], sym[first_pos]] = bam[first_pos]
-    rev_key = key[::-1]
-    _, rev_pos = np.unique(rev_key, return_index=True)
-    last_pos = key.size - 1 - rev_pos
-    out["close"][s_idx[last_pos], sym[last_pos]] = bam[last_pos]
-
-    closes = accumulate_bam(records, grid, n_symbols)
-    empty = out["count"] == 0
-    for f in ("open", "high", "low", "close"):
-        out[f][empty] = closes[empty]
-    return out
+    cell = s_idx * np.int64(n_symbols) + records["symbol"]
+    return _ohlc_cells(cell, bam, closes.ravel()).reshape(closes.shape)
 
 
 class StreamingBarAccumulator:
-    """Incremental bar builder for the MarketMiner pipeline.
-
-    Feed quotes with :meth:`add_quote`; when the stream passes an interval
-    boundary, call :meth:`close_through` to flush every completed interval.
-    Produces exactly the rows :func:`accumulate_ohlc` would.
+    """Interval-at-a-time bar builder for the MarketMiner pipeline: what
+    a stream adds to the kernel is the next interval it expects and the
+    last close it carries.  Rows are :func:`accumulate_ohlc`'s wherever
+    the symbol has quoted, NaN before.
     """
 
     def __init__(self, grid: TimeGrid, n_symbols: int):
@@ -140,67 +141,32 @@ class StreamingBarAccumulator:
         self.n_symbols = n_symbols
         self._current = 0  # next interval to close
         self._last_close = np.full(n_symbols, np.nan)
-        self._reset_working()
-
-    def _reset_working(self) -> None:
-        n = self.n_symbols
-        self._open = np.full(n, np.nan)
-        self._high = np.full(n, -np.inf)
-        self._low = np.full(n, np.inf)
-        self._close = np.full(n, np.nan)
-        self._count = np.zeros(n, dtype=np.int32)
 
     @property
     def next_interval(self) -> int:
         """Index of the next interval that will be closed."""
         return self._current
 
-    def add_quote(self, t: float, symbol: int, bid: float, ask: float) -> None:
-        """Feed one quote; it must belong to an interval not yet closed."""
-        if not 0 <= symbol < self.n_symbols:
-            raise ValueError(f"symbol {symbol} outside [0, {self.n_symbols})")
-        s = self.grid.interval_of(t)
-        if s < self._current:
+    def close_interval(self, s: int, records: np.ndarray) -> np.ndarray:
+        """Close interval ``s`` over its quotes (stream order, possibly
+        none); return its ``(n_symbols,)`` :data:`OHLC_DTYPE` row."""
+        if s != self._current:
+            what = "already closed" if s < self._current else "a future interval"
             raise ValueError(
-                f"quote at t={t} belongs to interval {s}, already closed "
-                f"(next open interval is {self._current})"
+                f"interval {s} is {what}: the next to close is {self._current}"
             )
-        if s > self._current:
-            raise ValueError(
-                f"quote at t={t} belongs to future interval {s}; call "
-                f"close_through({s - 1}) first"
-            )
-        bam = 0.5 * (bid + ask)
-        if self._count[symbol] == 0:
-            self._open[symbol] = bam
-        self._high[symbol] = max(self._high[symbol], bam)
-        self._low[symbol] = min(self._low[symbol], bam)
-        self._close[symbol] = bam
-        self._count[symbol] += 1
-
-    def close_through(self, s: int) -> np.ndarray:
-        """Close intervals ``current .. s``; return their bar rows.
-
-        Returns shape ``(s - current + 1, n_symbols)`` with
-        :data:`OHLC_DTYPE`.  Symbols with no quote yet (no standing price)
-        produce NaN bars until their first quote arrives, mirroring the
-        back-fill the batch accumulator performs once the whole day is
-        known.
-        """
-        if s < self._current:
-            raise ValueError(f"interval {s} already closed")
         self.grid._check_index(s)
-        rows = []
-        while self._current <= s:
-            row = np.zeros(self.n_symbols, dtype=OHLC_DTYPE)
-            has = self._count > 0
-            row["open"] = np.where(has, self._open, self._last_close)
-            row["high"] = np.where(has, self._high, self._last_close)
-            row["low"] = np.where(has, self._low, self._last_close)
-            row["close"] = np.where(has, self._close, self._last_close)
-            row["count"] = self._count
-            self._last_close = row["close"].copy()
-            rows.append(row)
-            self._current += 1
-            self._reset_working()
-        return np.stack(rows)
+        sym = records["symbol"]
+        if records.size:
+            s_idx = records["t"] // self.grid.delta_s
+            if s_idx.min() != s or s_idx.max() != s:
+                raise ValueError(f"quote timestamps fall outside interval {s}")
+            if sym.min() < 0 or sym.max() >= self.n_symbols:
+                raise ValueError(
+                    f"symbol indices must lie in [0, {self.n_symbols})"
+                )
+        bam = 0.5 * (records["bid"] + records["ask"])
+        row = _ohlc_cells(sym, bam, self._last_close)
+        self._last_close = row["close"].copy()
+        self._current += 1
+        return row

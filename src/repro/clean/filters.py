@@ -6,6 +6,12 @@ same idea to prices: maintain an EWMA of the price and of its absolute
 deviation, and reject ticks "more than a few standard deviations from their
 corresponding moving average and deviation".  Rejected ticks do not update
 the estimates, so a burst of garbage cannot drag the filter along with it.
+
+:func:`filter_quotes` is the only place a quote meets a filter.
+:func:`clean_quotes` runs it over a day with a fresh bank, the pipeline's
+``CleaningComponent`` over each interval with a bank that persists, and
+``repro.taq.quality.quality_report`` reads per-symbol rejections off its
+mask, so what the batch and the stream keep cannot differ.
 """
 
 from __future__ import annotations
@@ -116,6 +122,31 @@ class TcpLikeFilter:
         return True
 
 
+def filter_quotes(
+    records: np.ndarray, filters: list[TcpLikeFilter]
+) -> tuple[np.ndarray, int, int]:
+    """Run a batch of quotes through a bank of filters, one per symbol.
+
+    A quote is dropped if it is crossed (bid >= ask) or if its bid–ask
+    midpoint is rejected by its symbol's filter (every uncrossed quote
+    meets its filter, in stream order).  Returns the ``keep`` mask and the
+    ``rejected_outlier`` and ``rejected_crossed`` counts; the bank carries
+    the state, so a day may be fed whole or an interval at a time.
+    """
+    symbols = records["symbol"]
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= len(filters)):
+        raise ValueError(f"symbol indices must lie in [0, {len(filters)})")
+    crossed = records["bid"] >= records["ask"]
+    bam = 0.5 * (records["bid"] + records["ask"])
+    keep = np.zeros(records.size, dtype=bool)
+    for i in range(records.size):
+        if not crossed[i]:
+            keep[i] = filters[symbols[i]].update(float(bam[i]))
+    rejected_crossed = int(crossed.sum())
+    rejected_outlier = records.size - rejected_crossed - int(keep.sum())
+    return keep, rejected_outlier, rejected_crossed
+
+
 def clean_quotes(
     records: np.ndarray,
     n_symbols: int,
@@ -125,39 +156,23 @@ def clean_quotes(
     warmup: int = 20,
     min_dev_frac: float = 1.0e-3,
 ) -> tuple[np.ndarray, CleaningStats]:
-    """Clean a chronological quote array with one filter per symbol.
+    """Clean a chronological quote array with one fresh filter per symbol.
 
-    A quote is dropped if it is crossed (bid >= ask) or if its bid–ask
-    midpoint is rejected by the symbol's :class:`TcpLikeFilter`.  Returns
-    the surviving quotes (original order preserved) and disposition counts.
+    Returns the quotes :func:`filter_quotes` keeps (original order
+    preserved) and the disposition counts.
     """
     validate_quote_array(records, n_symbols=n_symbols)
-    total = int(records.size)
-    keep = np.zeros(total, dtype=bool)
-    crossed = records["bid"] >= records["ask"]
-
     filters = [
         TcpLikeFilter(
             alpha=alpha, beta=beta, k=k, warmup=warmup, min_dev_frac=min_dev_frac
         )
         for _ in range(n_symbols)
     ]
-    bam = 0.5 * (records["bid"] + records["ask"])
-    symbols = records["symbol"]
-    rejected_outlier = 0
-    for i in range(total):
-        if crossed[i]:
-            continue
-        if filters[symbols[i]].update(float(bam[i])):
-            keep[i] = True
-        else:
-            rejected_outlier += 1
-
-    cleaned = records[keep]
+    keep, rejected_outlier, rejected_crossed = filter_quotes(records, filters)
     stats = CleaningStats(
-        total=total,
+        total=int(records.size),
         accepted=int(keep.sum()),
         rejected_outlier=rejected_outlier,
-        rejected_crossed=int(crossed.sum()),
+        rejected_crossed=rejected_crossed,
     )
-    return cleaned, stats
+    return records[keep], stats

@@ -1,9 +1,12 @@
 """The OHLC Bar Accumulator component (Figure 1).
 
-Consumes per-interval quote batches, closes one BAM bar row per interval,
-and emits ``(s, ohlc_row)`` on ``bars`` plus the close-price vector
-``(s, closes)`` on ``closes`` — the stream the strategy component prices
-against ("Quotes & Prices" in Figure 1).
+Hands each per-interval quote batch, whole, to
+:meth:`~repro.bars.accumulator.StreamingBarAccumulator.close_interval`
+(the batch accumulator's kernel fed one interval; it refuses an interval
+out of order, a quote outside it, an unknown symbol) and emits
+``(s, ohlc_row)`` on ``bars`` plus the close-price vector ``(s, closes)``
+on ``closes`` — the stream the strategy component prices against
+("Quotes & Prices" in Figure 1).
 
 Live streams cannot back-fill: a symbol has NaN closes until its first
 quote arrives (the batch accumulator, which sees the whole day, back-fills
@@ -39,20 +42,7 @@ class BarAccumulatorComponent(Component):
 
     def on_message(self, ctx: Context, port: str, payload) -> None:
         s, records = payload
-        if s != self._acc.next_interval:
-            raise ValueError(
-                f"{self.name}: expected interval {self._acc.next_interval}, "
-                f"got {s} (collector must emit every interval in order)"
-            )
-        for rec in records:
-            self._acc.add_quote(
-                float(rec["t"]),
-                int(rec["symbol"]),
-                float(rec["bid"]),
-                float(rec["ask"]),
-            )
-        rows = self._acc.close_through(s)
-        row = rows[0]
+        row = self._acc.close_interval(s, records)
         ctx.emit("bars", (s, row))
         ctx.emit("closes", (s, row["close"].copy()))
         self._bars_emitted += 1

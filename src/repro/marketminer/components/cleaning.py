@@ -1,18 +1,18 @@
 """Streaming quote cleaning: the TCP-like filter as a pipeline stage.
 
 Raw data "needs to be cleaned before being analyzed" (paper §III); in the
-pipeline this happens between the adapter and the bar accumulator, one
-:class:`~repro.clean.filters.TcpLikeFilter` per symbol, preserving the
-per-interval message shape.
+pipeline this happens between the adapter and the bar accumulator: each
+interval's batch goes through :func:`~repro.clean.filters.filter_quotes`
+— the loop :func:`~repro.clean.filters.clean_quotes` runs over a day —
+with a bank of filters, one per symbol, that lives as long as the session,
+preserving the per-interval message shape.
 """
 
 from __future__ import annotations
 
 import copy
 
-import numpy as np
-
-from repro.clean.filters import TcpLikeFilter
+from repro.clean.filters import TcpLikeFilter, filter_quotes
 from repro.marketminer.component import Component, Context
 
 
@@ -36,7 +36,6 @@ class CleaningComponent(Component):
         )
         if n_symbols <= 0:
             raise ValueError(f"n_symbols must be positive, got {n_symbols}")
-        self.n_symbols = n_symbols
         self._filters = [
             TcpLikeFilter(k=k, warmup=warmup) for _ in range(n_symbols)
         ]
@@ -46,26 +45,10 @@ class CleaningComponent(Component):
 
     def on_message(self, ctx: Context, port: str, payload) -> None:
         s, records = payload
+        keep, outlier, crossed = filter_quotes(records, self._filters)
         self._total += int(records.size)
-        if records.size == 0:
-            ctx.emit("quotes", (s, records))
-            return
-        keep = np.zeros(records.size, dtype=bool)
-        bam = 0.5 * (records["bid"] + records["ask"])
-        crossed = records["bid"] >= records["ask"]
-        for idx in range(records.size):
-            if crossed[idx]:
-                self._rejected_crossed += 1
-                continue
-            symbol = int(records["symbol"][idx])
-            if not 0 <= symbol < self.n_symbols:
-                raise ValueError(
-                    f"symbol index {symbol} outside [0, {self.n_symbols})"
-                )
-            if self._filters[symbol].update(float(bam[idx])):
-                keep[idx] = True
-            else:
-                self._rejected_outlier += 1
+        self._rejected_outlier += outlier
+        self._rejected_crossed += crossed
         ctx.emit("quotes", (s, records[keep]))
 
     def on_stop(self, ctx: Context) -> None:

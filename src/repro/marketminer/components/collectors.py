@@ -36,32 +36,9 @@ from repro.taq.universe import Universe
 from repro.util.timeutil import TimeGrid
 
 
-def _emit_by_interval(
-    ctx: Context,
-    records: np.ndarray,
-    grid: TimeGrid,
-    start: int = 0,
-    stop: int | None = None,
-) -> None:
-    """Slice a chronological quote array into per-interval messages.
-
-    Only intervals in ``[start, stop)`` are emitted (``stop=None`` means
-    the end of the grid); the slicing itself is identical either way, so
-    a run split into ranges emits bitwise the same messages as one pass.
-    """
-    stop = grid.smax if stop is None else stop
-    boundaries = np.searchsorted(
-        records["t"], np.arange(0, grid.smax + 1) * grid.delta_s, side="left"
-    )
-    ctx.obs.metrics.counter(
-        f"pipeline.{ctx.component_name}.quotes_collected"
-    ).inc(int(boundaries[stop] - boundaries[start]))
-    for s in range(start, stop):
-        ctx.emit("quotes", (s, records[boundaries[s]:boundaries[s + 1]]))
-
-
 class CollectorBase(Component):
-    """Shared resumable-range machinery for the Figure-1 collectors."""
+    """Shared by the Figure-1 collectors: the resumable interval range and
+    the ``generate`` that cuts a whole day (``_day_quotes``) into messages."""
 
     def __init__(self, grid: TimeGrid, name: str):
         super().__init__(name=name, output_ports=("quotes",))
@@ -86,6 +63,29 @@ class CollectorBase(Component):
         """The effective ``(start, stop)`` emission range."""
         stop = self.grid.smax if self._stop is None else self._stop
         return self._start, stop
+
+    def _day_quotes(self) -> np.ndarray:
+        """The day's chronological quotes (or override ``generate``)."""
+        raise NotImplementedError(f"{self.name}: no _day_quotes()")
+
+    def generate(self, ctx: Context) -> None:
+        """Slice the day into one message per interval of the range.
+
+        The cuts are made on the whole day whatever the range, so a run
+        split into ranges emits bitwise the same messages as one pass;
+        quotes beyond the last complete interval never trade.
+        """
+        quotes = self._day_quotes()
+        grid = self.grid
+        start, stop = self.interval_range
+        cuts = np.searchsorted(
+            quotes["t"], np.arange(0, grid.smax + 1) * grid.delta_s, side="left"
+        )
+        ctx.obs.metrics.counter(
+            f"pipeline.{self.name}.quotes_collected"
+        ).inc(int(cuts[stop] - cuts[start]))
+        for s in range(start, stop):
+            ctx.emit("quotes", (s, quotes[cuts[s]:cuts[s + 1]]))
 
     def snapshot(self) -> dict:
         # The high-water mark: everything below ``stop`` was emitted (or
@@ -112,12 +112,8 @@ class LiveCollector(CollectorBase):
         self.market = market
         self.day = day
 
-    def generate(self, ctx: Context) -> None:
-        quotes = self.market.quotes(self.day)
-        # Quotes beyond the last complete interval never trade.
-        cutoff = self.grid.smax * self.grid.delta_s
-        quotes = quotes[quotes["t"] < cutoff]
-        _emit_by_interval(ctx, quotes, self.grid, self._start, self._stop)
+    def _day_quotes(self) -> np.ndarray:
+        return self.market.quotes(self.day)
 
 
 class FileCollector(CollectorBase):
@@ -134,11 +130,8 @@ class FileCollector(CollectorBase):
         self.path = path
         self.universe = universe
 
-    def generate(self, ctx: Context) -> None:
-        quotes = read_taq_csv(self.path, self.universe)
-        cutoff = self.grid.smax * self.grid.delta_s
-        quotes = quotes[quotes["t"] < cutoff]
-        _emit_by_interval(ctx, quotes, self.grid, self._start, self._stop)
+    def _day_quotes(self) -> np.ndarray:
+        return read_taq_csv(self.path, self.universe)
 
 
 class QuoteDatabase:
@@ -181,11 +174,8 @@ class DbCollector(CollectorBase):
         self.db = db
         self.day = day
 
-    def generate(self, ctx: Context) -> None:
-        quotes = self.db.load(self.day)
-        cutoff = self.grid.smax * self.grid.delta_s
-        quotes = quotes[quotes["t"] < cutoff]
-        _emit_by_interval(ctx, quotes, self.grid, self._start, self._stop)
+    def _day_quotes(self) -> np.ndarray:
+        return self.db.load(self.day)
 
 
 class StoreCollector(CollectorBase):

@@ -95,10 +95,7 @@ class WorkflowRunner:
 
     def rank_map(self, size: int) -> RankMap:
         """Deterministic component→rank placement for ``size`` ranks."""
-        weights = {
-            name: comp.weight for name, comp in self.workflow.components.items()
-        }
-        return contract_dag(self.workflow.to_networkx(), size, weights=weights)
+        return RankMap(placement_report(self.workflow, size).assignment, size)
 
     def run(
         self,

@@ -9,12 +9,16 @@ machine is a cheap linear scan.
 
 :class:`PairStrategy` is the streaming form used by the MarketMiner
 pipeline component: fed one interval at a time, it emits exactly the
-trades the batch function produces (an invariant under test).
+trades the batch function produces (an invariant under test).  The two
+share the entry, exit and close rules, each of which takes the interval's
+own rows; only the rolling ``c_bar`` and the divergence signal have a
+streaming form of their own.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,21 +86,24 @@ def align_corr_series(series: np.ndarray, smax: int, m: int) -> np.ndarray:
 
 def _open_position(
     s: int,
-    prices: np.ndarray,
-    spread: np.ndarray,
-    perf: np.ndarray,
+    price_s: np.ndarray,
+    perf_s: np.ndarray,
+    spread_rt: np.ndarray,
     params: StrategyParams,
 ) -> PairPosition:
-    """Steps 3–5: choose legs, size the trade, set the retracement target."""
+    """Steps 3–5: choose legs, size the trade, set the retracement target.
+
+    Takes interval ``s``'s own rows: the two legs' prices, their W-period
+    returns and the trailing ``RT`` spreads ending at ``s``.
+    """
     # Long the under-performer: the leg with the lower W-period return.
-    long_leg = 0 if perf[s, 0] <= perf[s, 1] else 1
+    long_leg = 0 if perf_s[0] <= perf_s[1] else 1
     short_leg = 1 - long_leg
-    p_long = float(prices[s, long_leg])
-    p_short = float(prices[s, short_leg])
+    p_long = float(price_s[long_leg])
+    p_short = float(price_s[short_leg])
     n_long, n_short = cash_neutral_shares(p_long, p_short)
-    level = retracement_level(
-        spread[s - params.rt + 1 : s + 1], float(spread[s]), params.l
-    )
+    spread_s = float(spread_rt[-1])
+    level = retracement_level(spread_rt, spread_s, params.l)
     return PairPosition(
         entry_s=s,
         long_leg=long_leg,
@@ -104,7 +111,7 @@ def _open_position(
         n_short=n_short,
         entry_price_long=p_long,
         entry_price_short=p_short,
-        entry_spread=float(spread[s]),
+        entry_spread=spread_s,
         retracement_level=level.level,
         retracement_direction=level.direction,
     )
@@ -233,7 +240,10 @@ def run_pair_day(
             and (smax - 1 - s) >= params.st
             and (execution is None or execution.entry_fills(s, salt))
         ):
-            position = _open_position(s, prices, spread, perf, params)
+            position = _open_position(
+                s, prices[s], perf[s], spread[s - params.rt + 1 : s + 1],
+                params,
+            )
     return trades
 
 
@@ -281,8 +291,9 @@ class PairStrategy:
             raise ValueError(f"expected interval {self._s}, got {s}")
         if s >= self.smax:
             raise ValueError(f"interval {s} beyond smax={self.smax}")
-        if price_0 <= 0 or price_1 <= 0:
-            raise ValueError("prices must be positive")
+        # run_pair_day's check on two scalars (false for NaN).
+        if not (0.0 < price_0 < math.inf and 0.0 < price_1 < math.inf):
+            raise ValueError("prices must be positive and finite")
         self._prices[s] = (price_0, price_1)
         self._corr[s] = corr_s
         self._s += 1
@@ -298,12 +309,11 @@ class PairStrategy:
         if s < params.first_active_interval:
             return None
 
-        spread = self._prices[:, 0] - self._prices[:, 1]
         closed: Trade | None = None
         if self._position is not None:
             reason = _close_reason(
-                self._position, s, self.smax, self._prices, spread[s],
-                self._corr[s], self._c_bar(s), params,
+                self._position, s, self.smax, self._prices,
+                price_0 - price_1, self._corr[s], self._c_bar(s), params,
             )
             if reason is not None:
                 closed = _close(
@@ -322,10 +332,12 @@ class PairStrategy:
                 or self.execution.entry_fills(s, self.salt)
             )
         ):
-            perf = np.full((self.smax, 2), np.nan)
-            w = params.w
-            perf[s] = self._prices[s] / self._prices[s - w] - 1.0
-            self._position = _open_position(s, self._prices, spread, perf, params)
+            p = self._prices
+            rt = p[s - params.rt + 1 : s + 1]
+            self._position = _open_position(
+                s, p[s], p[s] / p[s - params.w] - 1.0, rt[:, 0] - rt[:, 1],
+                params,
+            )
         return closed
 
     def flatten(
@@ -351,7 +363,7 @@ class PairStrategy:
         self._position = None
         return closed
 
-    # -- streaming reimplementations of the vectorised quantities ---------
+    # -- streaming forms of divergence_signals' c_bar and signal ----------
 
     def _c_bar(self, s: int) -> float:
         window = self._corr[s - self.params.w + 1 : s + 1]

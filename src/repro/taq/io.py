@@ -186,6 +186,14 @@ def read_taq_csv(path, universe: Universe) -> np.ndarray:
     out["ask_size"] = _parse_number_column(
         columns[5], np.int64, "ask_size", path
     )
+    # ``astype`` parses "nan" and "inf"; say where before validation says what.
+    for name in ("t", "bid", "ask"):
+        bad = ~np.isfinite(out[name])
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"{path}:{at + 2}: {name} must be finite, got {rows[at]!r}"
+            )
     validate_quote_array(out, n_symbols=len(universe))
     return out
 

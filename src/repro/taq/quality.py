@@ -94,19 +94,16 @@ def quality_report(
     if records.size and session_seconds <= 0:
         raise ValueError("session_seconds must be positive")
 
-    # Count outlier rejections per symbol with the standard filter.
-    crossed_mask = records["bid"] >= records["ask"]
-    from repro.clean.filters import TcpLikeFilter
+    # Outlier rejections per symbol, read off the standard filter's mask.
+    from repro.clean.filters import TcpLikeFilter, filter_quotes
 
-    filters = [TcpLikeFilter() for _ in range(len(universe))]
-    rejected_by_symbol = [0] * len(universe)
-    bam = 0.5 * (records["bid"] + records["ask"])
-    for i in range(records.size):
-        if crossed_mask[i]:
-            continue
-        sym = int(records["symbol"][i])
-        if not filters[sym].update(float(bam[i])):
-            rejected_by_symbol[sym] += 1
+    crossed_mask = records["bid"] >= records["ask"]
+    keep, _, _ = filter_quotes(
+        records, [TcpLikeFilter() for _ in range(len(universe))]
+    )
+    rejected_by_symbol = np.bincount(
+        records["symbol"][~keep & ~crossed_mask], minlength=len(universe)
+    )
 
     symbols = []
     for idx, name in enumerate(universe.symbols):
@@ -114,7 +111,7 @@ def quality_report(
         sub = records[mask]
         n = int(sub.size)
         crossed = int(crossed_mask[mask].sum())
-        rejected = rejected_by_symbol[idx]
+        rejected = int(rejected_by_symbol[idx])
         if n:
             spread = sub["ask"] - sub["bid"]
             mid = 0.5 * (sub["ask"] + sub["bid"])

@@ -80,8 +80,10 @@ def quotes_from_records(records: np.ndarray) -> list[Quote]:
 def validate_quote_array(records: np.ndarray, n_symbols: int | None = None) -> None:
     """Sanity-check a bulk quote array; raise ``ValueError`` on violations.
 
-    Checks dtype, chronological ordering, non-negative timestamps, positive
-    prices and sizes, and (optionally) symbol indices within the universe.
+    Checks dtype, chronological ordering, finite non-negative timestamps,
+    positive finite prices (NaN is false under ``<= 0`` and no later stage
+    can name it), positive sizes, and (optionally) symbol indices within
+    the universe.
     Crossed quotes (bid > ask) are *allowed* — raw TAQ data contains them
     and the cleaning stage is responsible for dealing with the fallout.
     """
@@ -90,12 +92,16 @@ def validate_quote_array(records: np.ndarray, n_symbols: int | None = None) -> N
     if records.size == 0:
         return
     t = records["t"]
+    if not np.all(np.isfinite(t)):
+        raise ValueError("quote timestamps must be finite")
     if np.any(t < 0):
         raise ValueError("quote timestamps must be >= 0 seconds from open")
     if np.any(np.diff(t) < 0):
         raise ValueError("quotes must be in chronological order")
-    if np.any(records["bid"] <= 0) or np.any(records["ask"] <= 0):
-        raise ValueError("quote prices must be positive")
+    for side in ("bid", "ask"):
+        price = records[side]
+        if not np.all((price > 0) & np.isfinite(price)):
+            raise ValueError("quote prices must be positive and finite")
     if np.any(records["bid_size"] <= 0) or np.any(records["ask_size"] <= 0):
         raise ValueError("quote sizes must be positive")
     if n_symbols is not None:

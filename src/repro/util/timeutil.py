@@ -61,22 +61,6 @@ class TimeGrid:
         """Number of complete intervals in the session."""
         return self.trading_seconds // self.delta_s
 
-    def interval_of(self, second: float) -> int:
-        """Map a second-from-open offset to its interval index.
-
-        Seconds beyond the last complete interval raise ``ValueError`` so
-        that callers never silently index past ``smax - 1``.
-        """
-        if second < 0:
-            raise ValueError(f"second must be >= 0, got {second}")
-        s = int(second // self.delta_s)
-        if s >= self.smax:
-            raise ValueError(
-                f"second={second} falls outside the {self.smax} complete "
-                f"intervals of this grid"
-            )
-        return s
-
     def start_of(self, s: int) -> int:
         """Second-from-open at which interval ``s`` starts."""
         self._check_index(s)

@@ -1,4 +1,7 @@
-"""The per-window correlation oracle the batch kernels are tested against.
+"""Frozen reference implementations the production kernels are tested against.
+
+The per-window correlation oracle comes first; :class:`PerQuoteBarAccumulator`
+(the bar accumulator as it stood before the one-kernel form) is at the end.
 
 A reference implementation, deliberately slow and obvious: for the robust
 measures one kernel call per window (batch size 1, i.e. the genuine scalar
@@ -10,6 +13,7 @@ definition), so it delegates to :func:`repro.corr.pearson.pearson_series`.
 
 import numpy as np
 
+from repro.bars.accumulator import OHLC_DTYPE
 from repro.bars.returns import sliding_windows
 from repro.corr.combined import combined_corr_batched
 from repro.corr.maronna import MaronnaConfig, maronna_corr_batched
@@ -136,3 +140,53 @@ def frozen_maronna_corr_batched(
         )
     corr = np.where(degenerate, 0.0, corr)
     return np.clip(corr, -1.0, 1.0)
+
+
+class PerQuoteBarAccumulator:
+    """The streaming bar row's frozen definition: the arithmetic of the
+    per-quote ``add_quote`` / ``close_through`` class as it stood at commit
+    43bb263 (its interval bookkeeping and input checks, which the tests
+    exercise on the production class, left out).
+    ``StreamingBarAccumulator.close_interval`` must equal it bit for bit."""
+
+    def __init__(self, n_symbols: int):
+        self.n_symbols = n_symbols
+        self._last_close = np.full(n_symbols, np.nan)
+        self._reset_working()
+
+    def _reset_working(self) -> None:
+        n = self.n_symbols
+        self._open = np.full(n, np.nan)
+        self._high = np.full(n, -np.inf)
+        self._low = np.full(n, np.inf)
+        self._close = np.full(n, np.nan)
+        self._count = np.zeros(n, dtype=np.int32)
+
+    def add_quote(self, symbol: int, bid: float, ask: float) -> None:
+        bam = 0.5 * (bid + ask)
+        if self._count[symbol] == 0:
+            self._open[symbol] = bam
+        self._high[symbol] = max(self._high[symbol], bam)
+        self._low[symbol] = min(self._low[symbol], bam)
+        self._close[symbol] = bam
+        self._count[symbol] += 1
+
+    def close(self) -> np.ndarray:
+        row = np.zeros(self.n_symbols, dtype=OHLC_DTYPE)
+        has = self._count > 0
+        row["open"] = np.where(has, self._open, self._last_close)
+        row["high"] = np.where(has, self._high, self._last_close)
+        row["low"] = np.where(has, self._low, self._last_close)
+        row["close"] = np.where(has, self._close, self._last_close)
+        row["count"] = self._count
+        self._last_close = row["close"].copy()
+        self._reset_working()
+        return row
+
+    def close_interval(self, records: np.ndarray) -> np.ndarray:
+        """One interval the parent's way: a Python call per quote."""
+        for rec in records:
+            self.add_quote(
+                int(rec["symbol"]), float(rec["bid"]), float(rec["ask"])
+            )
+        return self.close()

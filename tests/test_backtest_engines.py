@@ -23,6 +23,7 @@ from repro.backtest.runner import (
 )
 from repro.backtest.sweep import SweepConfig, run_sweep
 from repro.corr.batch import batch_pair_series
+from repro.corr.measures import CorrelationType
 from repro.mpi.inproc import SpmdFailure
 from repro.mpi.procs import RemoteRankError
 from repro.obs import Obs, attach_to_comm
@@ -551,6 +552,39 @@ class TestHostileDays:
             errors = {0: exc.value}
         assert all(type(e) is ValueError for e in errors.values())
         assert all(message in str(e) for e in errors.values())
+
+    @pytest.fixture
+    def pearson_goes_dark(self, monkeypatch):
+        """Every Pearson cell's correlation series is NaN from ``M`` to
+        the close by the time it reaches the strategy.  No quote stream
+        produces this through the engines (the kernels refuse NaN returns
+        and define the degenerate window as 0.0), so it is injected at the
+        one call every route makes: the cell loop's ``run_pair_day``."""
+        from repro.backtest import runner
+
+        real = runner.run_pair_day
+
+        def dark(prices, corr, params, **kwargs):
+            if params.ctype is CorrelationType.PEARSON:
+                assert np.isfinite(corr[params.m :]).all()
+                corr = np.full_like(corr, np.nan)
+            return real(prices, corr, params, **kwargs)
+
+        monkeypatch.setattr(runner, "run_pair_day", dark)
+
+    @pytest.mark.parametrize("route", ENGINE_ROUTES)
+    def test_all_nan_correlation_window_opens_nothing(
+        self, route, pearson_goes_dark
+    ):
+        _, pairs, grid, days = _study_parts()
+        store, obs = ROUTES[route]()
+        assert store == ROUTES["approach2"]()[0]
+        assert "backtest.cells_failed" not in obs.report()["metrics"]["counters"]
+        for k, params in enumerate(grid):
+            traded = sum(
+                store.cell(pair, k, day).size for pair in pairs for day in days
+            )
+            assert (traded == 0) == (params.ctype is CorrelationType.PEARSON)
 
     #: One bar (no return at all) and one return short of the window.
     SHORT_DAYS = {"one-bar": 1, "m-minus-1-bars": BASE.m - 1}

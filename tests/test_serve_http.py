@@ -246,13 +246,23 @@ class TestTransport:
 
     def test_idle_connection_is_closed(self, bare, monkeypatch):
         monkeypatch.setattr(_Handler, "timeout", 0.2)
-        before = threading.active_count()
+
+        def handlers() -> int:
+            # ThreadingHTTPServer names a connection's thread after its
+            # target; a process-wide count would also see an earlier
+            # fixture's serve_forever thread on its way out.
+            return sum(
+                "process_request_thread" in t.name
+                for t in threading.enumerate()
+            )
+
+        before = handlers()
         with socket.create_connection(bare.server_address[:2], timeout=3) as s:
             s.sendall(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
             assert s.recv(1 << 16).startswith(b"HTTP/1.1 200")
-            assert threading.active_count() == before + 1
+            assert handlers() == before + 1
             assert s.recv(1 << 16) == b""  # the server hung up, not us
-        assert wait_until(lambda: threading.active_count() == before)
+        assert wait_until(lambda: handlers() == before)
 
     def test_stalled_body_is_408_and_closes(self, bare, monkeypatch):
         monkeypatch.setattr(_Handler, "timeout", 0.2)

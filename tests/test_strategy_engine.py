@@ -195,6 +195,41 @@ class TestValidation:
             run_pair_day(prices, np.ones(20), PARAMS)
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_both_forms_refuse_the_same_prices(self, bad):
+        """One rule, one message: what the batch function will not trade
+        on, the streaming form will not store."""
+        nan = float("nan")
+        prices = np.ones((20, 2))
+        prices[3, 1] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_pair_day(prices, np.ones(20), PARAMS)
+        for leg in (0, 1):
+            row = [1.0, 1.0]
+            row[leg] = bad
+            strat = PairStrategy(PARAMS, 20)
+            for s in range(3):
+                strat.step(s, 1.0, 1.0, nan)
+            with pytest.raises(ValueError, match="positive and finite"):
+                strat.step(3, *row, nan)
+            with pytest.raises(ValueError, match="positive and finite"):
+                strat.flatten(3, *row)
+            strat.step(3, 1.0, 1.0, nan)  # a refused interval is not recorded
+
+    def test_all_nan_correlation_opens_nothing(self):
+        """The hostile day: a correlation series that is NaN from ``M`` to
+        the close (every window stale or degenerate) reaches the strategy.
+        Neither form enters, neither raises."""
+        prices, _ = diverging_scenario()
+        corr = np.full(SMAX, np.nan)
+        assert run_pair_day(prices, corr, PARAMS) == []
+        strat = PairStrategy(PARAMS, SMAX)
+        for s in range(SMAX):
+            assert strat.step(s, prices[s, 0], prices[s, 1], corr[s]) is None
+            assert strat.open_position is None
+        assert strat.trades == []
+
+
 class TestAlignCorrSeries:
     def test_alignment(self):
         series = np.arange(5, dtype=float)

@@ -112,6 +112,30 @@ class TestVectorisedReader:
         with pytest.raises(ValueError, match=rf"{path}:2: bad bid value"):
             read_taq_csv(path, universe)
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("09:30:02.000000,CVX,nan,20.20,1,1", "bid"),
+            ("09:30:02.000000,CVX,20.10,inf,1,1", "ask"),
+            ("09:30:02.000000,CVX,-inf,20.20,1,1", "bid"),
+            ("09:30:nan,CVX,20.10,20.20,1,1", "t"),
+        ],
+    )
+    def test_nonfinite_value_names_file_and_line(
+        self, tmp_path, quotes_and_universe, row, field
+    ):
+        """``astype(float)`` parses "nan" and "inf" without complaint."""
+        _, universe = quotes_and_universe
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(
+            "timestamp,symbol,bid,ask,bid_size,ask_size\n"
+            "09:30:01.000000,XOM,1.00,1.10,1,1\n" + row + "\n"
+        )
+        with pytest.raises(
+            ValueError, match=rf"{path}:3: {field} must be finite"
+        ):
+            read_taq_csv(path, universe)
+
     def test_field_count_error_names_line(self, tmp_path, quotes_and_universe):
         _, universe = quotes_and_universe
         path = tmp_path / "short.csv"

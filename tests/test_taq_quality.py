@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.clean.filters import clean_quotes
 from repro.taq.quality import quality_report
 from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
 from repro.taq.types import QUOTE_DTYPE
@@ -44,6 +45,24 @@ class TestQualityReport:
     def test_outliers_detected(self, market_and_report):
         _, _, report = market_and_report
         assert sum(s.rejected_outlier for s in report.symbols) > 0
+
+    def test_rejections_are_the_cleaning_pass_s(self, market_and_report):
+        """The report reads its outliers off the mask ``clean_quotes``
+        keeps by, so the two cannot count differently."""
+        market, quotes, report = market_and_report
+        quotes = quotes.copy()
+        swap = np.arange(7, quotes.size, 97)  # cross some quotes too
+        quotes["bid"][swap], quotes["ask"][swap] = (
+            quotes["ask"][swap], quotes["bid"][swap],
+        )
+        report = quality_report(quotes, market.universe, session_seconds=1800)
+        _, stats = clean_quotes(quotes, len(market.universe))
+        assert stats.rejected_outlier > 0 and stats.rejected_crossed == swap.size
+        assert (
+            sum(s.rejected_outlier for s in report.symbols)
+            == stats.rejected_outlier
+        )
+        assert sum(s.crossed for s in report.symbols) == stats.rejected_crossed
 
     def test_lookup_and_worst(self, market_and_report):
         market, _, report = market_and_report

@@ -88,6 +88,19 @@ class TestValidateQuoteArray:
         with pytest.raises(ValueError, match="positive"):
             validate_quote_array(self._mk(bid=0.0))
 
+    @pytest.mark.parametrize("field", ["bid", "ask"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_price(self, field, bad):
+        # NaN is false under every comparison, so a ``<= 0`` test alone
+        # lets it through.
+        with pytest.raises(ValueError, match="positive and finite"):
+            validate_quote_array(self._mk(**{field: [10.0, bad, 10.0]}))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_time(self, bad):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            validate_quote_array(self._mk(t=[0.0, 1.0, bad]))
+
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError, match="sizes"):
             validate_quote_array(self._mk(bid_size=0))

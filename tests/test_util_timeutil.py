@@ -24,20 +24,6 @@ class TestTimeGrid:
     def test_partial_trailing_interval_dropped(self):
         assert TimeGrid(7, trading_seconds=100).smax == 14
 
-    def test_interval_of_boundaries(self):
-        grid = TimeGrid(30, trading_seconds=3600)
-        assert grid.interval_of(0.0) == 0
-        assert grid.interval_of(29.999) == 0
-        assert grid.interval_of(30.0) == 1
-        assert grid.interval_of(3599.0) == 119
-
-    def test_interval_of_rejects_out_of_session(self):
-        grid = TimeGrid(30, trading_seconds=3600)
-        with pytest.raises(ValueError):
-            grid.interval_of(3600.0)
-        with pytest.raises(ValueError):
-            grid.interval_of(-1.0)
-
     def test_start_end_of(self):
         grid = TimeGrid(30)
         assert grid.start_of(0) == 0
@@ -76,19 +62,6 @@ class TestTimeGrid:
         assert grid.smax * delta <= session < (grid.smax + 1) * delta
         for s in (0, grid.smax - 1):
             assert grid.end_of(s) - grid.start_of(s) == delta
-
-    @given(
-        delta=st.integers(min_value=1, max_value=600),
-        second=st.floats(min_value=0, max_value=23399, allow_nan=False),
-    )
-    def test_interval_of_is_consistent_with_bounds(self, delta, second):
-        grid = TimeGrid(delta)
-        try:
-            s = grid.interval_of(second)
-        except ValueError:
-            assert second >= grid.smax * delta
-            return
-        assert grid.start_of(s) <= second < grid.end_of(s)
 
 
 class TestSecondsToClock:
