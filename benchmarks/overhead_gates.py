@@ -3,7 +3,8 @@ and the shared fixed point must stay shared.
 
 ``python -m benchmarks.overhead_gates`` (a ``scripts/check.sh`` stage)
 times both sides of each row of :data:`GATES`, min of :data:`N_RUNS`
-runs a side (min is robust to scheduling noise), and fails unless
+runs a side with the sides taking turns (min is robust to scheduling
+noise, turns to host-speed drift), and fails unless
 ``numerator / denominator`` stays under the row's budget:
 
 * obs — a Figure-1 session with observability off must not be slower
@@ -43,9 +44,14 @@ from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
 from repro.taq.universe import default_universe
 from repro.util.timeutil import TimeGrid
 
-SECONDS = 3000
+#: Long enough for several sampler ticks: the session streams (the feed
+#: has a rank of its own), so it ends about when the feed does.
+SECONDS = 6000
 ROUNDS = 4000
-N_RUNS = 3
+#: A 2-rank thread session's wall is bimodal on a 2-core host (fast runs
+#: ~30 % quicker than slow ones), so each side needs enough runs for its
+#: min to land in the fast mode.
+N_RUNS = 9
 
 
 def _timed(fn, *args, **kwargs) -> float:
@@ -155,13 +161,19 @@ GATES = (
 )
 
 
-def best_of(run_once) -> float:
-    return min(run_once() for _ in range(N_RUNS))
+def best_of(run_num, run_den) -> tuple[float, float]:
+    """Min of :data:`N_RUNS` runs a side, the sides taking turns so a
+    change in host speed lands on both alike."""
+    t_num, t_den = [], []
+    for _ in range(N_RUNS):
+        t_num.append(run_num())
+        t_den.append(run_den())
+    return min(t_num), min(t_den)
 
 
 def main() -> None:
     for num, run_num, den, run_den, budget, verdict in GATES:
-        t_num, t_den = best_of(run_num), best_of(run_den)
+        t_num, t_den = best_of(run_num, run_den)
         ratio = t_num / t_den
         print(f"{num} {t_num:.3f}s  {den} {t_den:.3f}s  "
               f"{num}/{den} {ratio:.2f}")

@@ -204,11 +204,14 @@ class _PlanSpec:
 
 
 def _plan_dup(size: int, stall_seconds: float) -> FaultPlan:
+    # Both from rank 0: a source has a rank of its own whenever there is
+    # a spare one, so rank 0 is the only rank that sends data-plane
+    # envelopes at every size above 1 (at 2 ranks, rank 1 sends none).
     return FaultPlan(
         name="dup",
         messages=(
             MessageFault("duplicate", src=0, nth=3),
-            MessageFault("duplicate", src=size - 1, nth=5),
+            MessageFault("duplicate", src=0, nth=5),
         ),
     )
 
@@ -224,9 +227,17 @@ def _plan_drop_dup(size: int, stall_seconds: float) -> FaultPlan:
 
 
 def _plan_crash_mid(size: int, stall_seconds: float) -> FaultPlan:
+    # ``at_op`` counts rank 0's communicator ops.  A source has a rank of
+    # its own whenever there is a spare one, so at every size above 1
+    # rank 0 hosts only the collector and makes about 30 ops an epoch:
+    # one quote send per interval (20 at the default checkpoint_every),
+    # the EOS and the collectives.  Op 12 is therefore mid-feed in epoch
+    # 0 at every size above 1.  Killing the feed rather than a consumer
+    # also leaves no envelope queued for the dead rank, which on the
+    # process backend would hold each sender's exit for its join timeout.
     return FaultPlan(
         name="crash-mid",
-        crashes=(RankCrash(rank=min(1, size - 1), at_op=40),),
+        crashes=(RankCrash(rank=0, at_op=12),),
     )
 
 

@@ -2,13 +2,23 @@
 
 Execution model (per SPMD rank):
 
-1. The workflow DAG is contracted onto the communicator's ranks
-   (:func:`repro.mpi.topology.contract_dag`, weighted by component
-   weights) — identically on every rank, so routing tables agree without
-   communication.
+1. The workflow is placed on the communicator's ranks
+   (:func:`placement_report`) — identically on every rank, so routing
+   tables agree without communication.  Given a spare rank, each source
+   gets a rank of its own and :func:`repro.mpi.topology.contract_dag`
+   balances the rest of the DAG, by component weight, over the
+   remaining ranks.
 2. Each rank drives its local *source* components to completion; every
    ``emit`` routes either synchronously to a local component or as a
    message through the MPI substrate to the destination's host rank.
+   Driving a source to completion starves nobody: a source's rank hosts
+   nothing else, so no component there waits for the feed to end, and
+   the ranks downstream handle each message as it arrives — orders leave
+   while the feed is still streaming.  The one fallback is a
+   communicator with no spare rank (size 1, or no more ranks than
+   sources): the whole DAG is contracted as one, and components sharing
+   a source's rank run only once that source has finished.  At size 1
+   every edge is a synchronous call, so nothing waits there either.
 3. End-of-stream tokens propagate shutdown: when a source finishes, or a
    component has received EOS on every inbound edge, it is stopped
    (``on_stop``, which may still emit) and forwards EOS on its outbound
@@ -45,9 +55,11 @@ _EOS = "eos"
 class PlacementReport:
     """Static view of a component→rank placement, for analysis tooling.
 
+    Built by :func:`placement_report`: with a spare rank, sources hold
+    ranks ``0..k-1`` alone and the rest of the DAG shares the others.
     ``loads[r]`` is the accumulated declared weight on rank ``r`` — the
     quantity the placement heuristic balances and the graph linter's
-    rank-budget rule audits.
+    rank-budget rule audits; the loads sum to the workflow's total weight.
     """
 
     size: int
@@ -69,6 +81,14 @@ def placement_report(
 ) -> PlacementReport:
     """Compute the deterministic placement a runner of ``size`` ranks uses.
 
+    With more ranks than the workflow has sources (components with no
+    input ports), the ``k`` sources take ranks ``0..k-1`` in name order
+    and :func:`~repro.mpi.topology.contract_dag` balances the rest of the
+    graph, same weights, over ranks ``k..size-1``: a source's rank only
+    feeds.  Otherwise (size 1, or ``size <= k``) the whole graph is one
+    ``contract_dag`` call.  The runner, the graph linter's rank rules and
+    the supervisor's resize moves all place through this function.
+
     Accepts either a built :class:`Workflow` or its plain-data
     :class:`GraphSpec`; the graph must be acyclic (the same precondition
     the runtime has).
@@ -76,9 +96,21 @@ def placement_report(
     if isinstance(spec, Workflow):
         spec = spec.spec()
     weights = {name: c.weight for name, c in spec.components.items()}
-    rank_map = contract_dag(spec.to_networkx(), size, weights=weights)
+    dag = spec.to_networkx()
+    sources = sorted(n for n, c in spec.components.items() if c.is_source)
+    if 0 < len(sources) < size:
+        assignment = {name: rank for rank, name in enumerate(sources)}
+        rest = dag.subgraph(n for n in dag if n not in assignment)
+        if rest:
+            rest_map = contract_dag(
+                rest, size - len(sources),
+                weights={n: weights[n] for n in rest},
+            )
+            for name, rank in rest_map.assignment.items():
+                assignment[name] = rank + len(sources)
+    else:
+        assignment = dict(contract_dag(dag, size, weights=weights).assignment)
     loads = [0.0] * size
-    assignment = dict(rank_map.assignment)
     for name, rank in assignment.items():
         loads[rank] += weights.get(name, 1.0)
     return PlacementReport(
@@ -316,6 +348,13 @@ class _RankRuntime:
     # -- main loop ---------------------------------------------------------------
 
     def run(self, collect_stats: bool = False, injector=None) -> dict[str, Any]:
+        """Drive local sources, then pump messages until all have stopped.
+
+        Phase 1 runs each local source to completion before the receive
+        loop starts.  That is harmless because of the placement: whenever
+        the communicator has a spare rank, a source's rank hosts that
+        source alone, so no component waits there for the feed to end.
+        """
         session_span = self.obs.trace.span(
             "session", rank=self.comm.rank, components=len(self.local)
         )

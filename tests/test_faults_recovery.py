@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.faults import (
+    PLAN_NAMES,
     ChaosUnrecoverable,
     DegradePolicy,
     FaultPlan,
@@ -174,6 +175,51 @@ class TestPlanRecovery:
                 max_restarts=1,
                 backend_options={"default_timeout": 2.0},
             )
+
+
+class TestNamedPlansFire:
+    """Every named plan does what its description says at 2 and 3 ranks.
+
+    Trigger ops and senders are counted on the placement; a plan that
+    never fires still "recovers bitwise", so recovery alone proves
+    nothing.
+    """
+
+    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("name", PLAN_NAMES)
+    def test_plan_fires(self, name, size, clean_results):
+        sup = run_supervised_session(
+            build,
+            size=size,
+            plan=named_plan(name, size=size, stall_seconds=1.5),
+            checkpoint_every=20,
+            backend_options={"default_timeout": 1.0},
+        )
+        events = [
+            event
+            for entry in sup.log
+            if entry[0] == "run"
+            for _, rank_events in entry[4]
+            for event in rank_events
+        ]
+        failures = {
+            kind
+            for entry in sup.log
+            if entry[0] == "restart"
+            for _, kind, _ in entry[3]
+        }
+        if name == "dup":
+            sent = sorted(e[1:] for e in events if e[0] == "duplicate")
+            dropped = sorted(
+                (e[2], e[1], e[3]) for e in events if e[0] == "dedup"
+            )
+            assert len(sent) == 2 and sent == dropped
+            assert sup.restarts == 0
+        elif name == "crash-mid":
+            assert "InjectedCrash" in failures
+        else:
+            assert sup.restarts >= 1
+        assert session_results_equal(sup.results, clean_results)
 
 
 class TestChaosLogDeterminism:

@@ -80,7 +80,7 @@ class TestTopology:
         wf = build_figure1_workflow(
             market, grid, pairs, [PARAMS], n_corr_engines=3
         )
-        rank_map = WorkflowRunner(wf).rank_map(3)
+        rank_map = WorkflowRunner(wf).rank_map(4)
         engine_ranks = {
             rank_map.rank_of(n)
             for n in wf.components

@@ -1,12 +1,17 @@
 """Tests for the workflow runtime: placement, routing, EOS shutdown."""
 
+import threading
+
 import pytest
 
 from repro import mpi
 from repro.marketminer.component import Component
 from repro.marketminer.graph import Workflow
-from repro.marketminer.scheduler import WorkflowRunner
+from repro.marketminer.scheduler import WorkflowRunner, placement_report
+from repro.marketminer.session import build_synthetic_figure1
 from repro.mpi.inproc import SpmdFailure
+from repro.mpi.topology import contract_dag
+from repro.strategy.params import StrategyParams
 
 
 class NumberSource(Component):
@@ -66,6 +71,13 @@ def pipeline_workflow(n=10):
     wf.connect("numbers", "out", "square", "in")
     wf.connect("square", "out", "collect", "in0")
     return wf
+
+
+def figure1(n_engines=1):
+    params = StrategyParams(m=20, w=10, y=4, rt=10, hp=8, st=4, d=0.002)
+    return build_synthetic_figure1(
+        4, 2400, 33, params, n_corr_engines=n_engines
+    )
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5])
@@ -181,6 +193,88 @@ class TestPlacement:
         wf.add(Collect())
         wf.connect("numbers", "out", "heavy", "in")
         wf.connect("heavy", "out", "collect", "in0")
-        rm = WorkflowRunner(wf).rank_map(2)
+        rm = WorkflowRunner(wf).rank_map(3)
         heavy_rank = rm.rank_of("heavy")
         assert rm.components_of(heavy_rank) == ("heavy",)
+
+    @pytest.mark.parametrize(
+        "n_engines,size", [(1, 2), (1, 3), (1, 4), (1, 5), (3, 4)]
+    )
+    def test_figure1_collector_alone_on_rank_0(self, n_engines, size):
+        wf = figure1(n_engines)
+        report = placement_report(wf, size)
+        assert report.components_of(0) == ("live_collector",)
+        assert report.idle_ranks() == ()
+
+    def test_size_one_hosts_everything_on_rank_0(self):
+        wf = figure1()
+        report = placement_report(wf, 1)
+        assert set(report.components_of(0)) == set(wf.components)
+
+    def test_more_sources_than_spare_ranks_is_plain_contraction(self):
+        wf = Workflow()
+        wf.add(NumberSource(name="src_a"))
+        wf.add(NumberSource(name="src_b"))
+        wf.add(Collect(n_inputs=2))
+        wf.connect("src_a", "out", "collect", "in0")
+        wf.connect("src_b", "out", "collect", "in1")
+        spec = wf.spec()
+        weights = {n: c.weight for n, c in spec.components.items()}
+        plain = contract_dag(spec.to_networkx(), 2, weights=weights)
+        assert placement_report(wf, 2).assignment == dict(plain.assignment)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_loads_sum_to_total_weight(self, size):
+        wf = figure1(n_engines=3)
+        report = placement_report(wf, size)
+        total = sum(c.weight for c in wf.spec().components.values())
+        assert len(report.loads) == size
+        assert sum(report.loads) == pytest.approx(total)
+
+
+class ClosedLoopSource(NumberSource):
+    """Emits item ``i + 1`` only once the sink has seen item ``i``."""
+
+    def __init__(self, delivered):
+        super().__init__(n=len(delivered))
+        self.delivered = delivered
+
+    def generate(self, ctx):
+        for i in range(self.n):
+            ctx.emit("out", i)
+            if not self.delivered[i].wait(2.0):
+                raise TimeoutError(
+                    f"item {i} not delivered before the next was due"
+                )
+
+
+class SignallingCollect(Collect):
+    def __init__(self, delivered):
+        super().__init__()
+        self.delivered = delivered
+
+    def on_message(self, ctx, port, payload):
+        super().on_message(ctx, port, payload)
+        self.delivered[len(self.seen) - 1].set()
+
+
+class TestSinkIsServedWhileTheSourceRuns:
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_closed_loop_source(self, size):
+        delivered = [threading.Event() for _ in range(5)]
+        wf = Workflow()
+        wf.add(ClosedLoopSource(delivered))
+        wf.add(Square())
+        wf.add(SignallingCollect(delivered))
+        wf.connect("numbers", "out", "square", "in")
+        wf.connect("square", "out", "collect", "in0")
+
+        def spmd(comm):
+            return WorkflowRunner(wf).run(comm)
+
+        results = mpi.run_spmd(
+            spmd, size=size, backend="thread", default_timeout=5.0
+        )
+        assert results[0]["collect"]["seen"] == [
+            ("in0", i * i) for i in range(5)
+        ]
