@@ -50,6 +50,9 @@ timeout 10 python -m benchmarks.bench_serve --smoke
 echo "== pytest =="
 python -m pytest -x -q
 
+echo "== end-to-end benchmark smoke (imports, oracles, staged replays) =="
+timeout 60 python3 benchmarks/e2e/run.py --smoke
+
 echo "== tick store ingest/verify/scan smoke check =="
 STORE_DIR=$(mktemp -d)
 trap 'rm -rf "$STORE_DIR"' EXIT

@@ -33,7 +33,12 @@ from repro.corr.maronna import MaronnaConfig
 from repro.corr.measures import CorrelationType, check_pairs
 from repro.obs import Obs, resolve
 from repro.strategy.costs import ExecutionModel, execution_salt
-from repro.strategy.engine import Trade, align_corr_series, run_pair_day
+from repro.strategy.engine import (
+    DayBlock,
+    Trade,
+    align_corr_series,
+    run_pair_day,
+)
 from repro.strategy.params import StrategyParams
 
 #: Histogram of per-(pair, day, parameter set) job wall seconds — the
@@ -151,16 +156,21 @@ def run_cells(
     does not.  ``backtest.jobs`` counts completed cells.  A cell that
     raises is appended to ``failures`` and counted in
     ``backtest.cells_failed``; without a ``failures`` list it re-raises.
+
+    The day's :class:`~repro.strategy.engine.DayBlock` is built once per
+    call, outside the per-cell clocks: its one check of the day's prices
+    is not charged to any cell, while a cell whose leg fails that check
+    raises inside its own clock and ``try``.
     """
     hist = obs.metrics.histogram(PAIR_DAY_HIST)
     jobs = obs.metrics.counter("backtest.jobs")
-    for i, j in pairs:
-        pair_prices = prices[:, [i, j]]
+    block = DayBlock(prices, pairs)
+    for p, (i, j) in enumerate(pairs):
         for k, params in enumerate(grid):
             t0 = time.perf_counter()
             try:
-                trades = run_pair_day(
-                    pair_prices,
+                trades = block.scan(
+                    p,
                     corr_for(i, j, params),
                     params,
                     execution=execution,

@@ -23,6 +23,7 @@ from repro.strategy.execution_algo import (
     simulate_fills,
 )
 from repro.strategy.engine import (
+    DayBlock,
     PairStrategy,
     Trade,
     TradeReason,
@@ -48,6 +49,7 @@ from repro.strategy.signals import average_correlation, divergence_signals
 __all__ = [
     "BasketAggregator",
     "ChildOrder",
+    "DayBlock",
     "ExecutionModel",
     "ExecutionReport",
     "ListExecutionPlan",

@@ -1,18 +1,18 @@
 """The per-pair strategy state machine (paper §III, steps 1–6).
 
-:func:`run_pair_day` executes one (pair, parameter set) combination over
-one trading day of bar closes and a correlation series, returning the
-day's trades — the paper's return set ``R_p^{t,k}``.  All window
-quantities (average correlation, divergence freshness, spread range,
-performance returns) are precomputed vectorised; the remaining state
-machine is a cheap linear scan.
+:class:`DayBlock` holds one day's bar closes for the pairs a caller
+trades and checks them once; :meth:`DayBlock.scan` runs one (pair,
+parameter set) cell over the day and returns its trades — the paper's
+return set ``R_p^{t,k}``.  The scan is event-driven: the divergence
+signals are computed vectorised, the scan jumps from one entry candidate
+to the next, walks each open position forward to its exit, and reduces
+the trailing ``RT`` spread window only at entries.  :func:`run_pair_day`
+is the one-pair call of the same scan.
 
 :class:`PairStrategy` is the streaming form used by the MarketMiner
-pipeline component: fed one interval at a time, it emits exactly the
-trades the batch function produces (an invariant under test).  The two
-share the entry, exit and close rules, each of which takes the interval's
-own rows; only the rolling ``c_bar`` and the divergence signal have a
-streaming form of their own.
+pipeline component: fed one interval at a time through its own entry,
+exit and close helpers, it emits exactly the trades :func:`run_pair_day`
+produces (an invariant under test).
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ from repro.strategy.positions import (
     PairPosition,
     cash_neutral_shares,
     position_return,
+    return_unchecked,
+    shares_unchecked,
 )
-from repro.strategy.retracement import retracement_level
+from repro.strategy.retracement import level_unchecked, retracement_level
 from repro.strategy.signals import divergence_signals
 
 
@@ -129,8 +131,9 @@ def _close_reason(
 ) -> TradeReason | None:
     """Exit rules in priority order: retracement, HP, extensions, EOD.
 
-    The one exit rule of the batch scan and the streaming state machine;
-    ``spread_s``, ``corr_s`` and ``c_bar_s`` are the interval's scalars.
+    The streaming state machine's exit rule (:meth:`DayBlock.scan` applies
+    the same rules in the same order); ``spread_s``, ``corr_s`` and
+    ``c_bar_s`` are the interval's scalars.
     """
     if position.retracement_hit(float(spread_s)):
         return TradeReason.RETRACEMENT
@@ -172,6 +175,169 @@ def _close(
     )
 
 
+class _PairRows:
+    """One pair's rows of a :class:`DayBlock` as Python lists, plus the
+    trailing-``RT`` spread statistics of the entries scanned so far."""
+
+    __slots__ = ("leg0", "leg1", "spread", "spread_list", "windows")
+
+    def __init__(self, prices: np.ndarray, i: int, j: int):
+        self.leg0 = prices[:, i].tolist()
+        self.leg1 = prices[:, j].tolist()
+        self.spread = prices[:, i] - prices[:, j]
+        self.spread_list = self.spread.tolist()
+        self.windows: dict[tuple[int, int], tuple[float, float, float]] = {}
+
+    def window(self, rt: int, e: int) -> tuple[float, float, float]:
+        """Low, high and mean of the ``rt`` spreads ending at ``e``.
+
+        The mean is ``ndarray.mean`` of the contiguous 1-D slice: its
+        pairwise summation is the definition the trades are bitwise
+        equal to, which a Python ``sum`` is not.
+        """
+        stats = self.windows.get((rt, e))
+        if stats is None:
+            window = self.spread_list[e - rt + 1 : e + 1]
+            stats = (
+                min(window), max(window),
+                float(self.spread[e - rt + 1 : e + 1].mean()),
+            )
+            self.windows[(rt, e)] = stats
+        return stats
+
+
+class DayBlock:
+    """One day's bar closes, checked once, for the pairs a caller trades.
+
+    ``prices`` is the day's ``(smax, n_symbols)`` closes; ``pairs`` lists
+    the ``(i, j)`` columns :meth:`scan` addresses by position.  Every
+    symbol is checked finite and positive over the whole day here, once:
+    a cell with a leg that fails raises from :meth:`scan`, so a bad
+    symbol fails only its own cells.  The scan keeps the rows of the pair
+    it last scanned and rebuilds them when asked for another, so callers
+    scan pair-major.
+    """
+
+    def __init__(self, prices: np.ndarray, pairs: list[tuple[int, int]]):
+        prices = np.asarray(prices, dtype=float)
+        if prices.ndim != 2:
+            raise ValueError(f"prices must be (smax, symbols), got {prices.shape}")
+        self._prices = prices
+        self.pairs = list(pairs)
+        self.smax = prices.shape[0]
+        self._tradeable = ((prices > 0) & np.isfinite(prices)).all(axis=0)
+        self._current: tuple[int, _PairRows] | None = None
+
+    def _rows(self, p: int) -> _PairRows:
+        if self._current is not None and self._current[0] == p:
+            return self._current[1]
+        i, j = self.pairs[p]
+        if not (self._tradeable[i] and self._tradeable[j]):
+            raise ValueError("prices must be positive and finite")
+        rows = _PairRows(self._prices, i, j)
+        self._current = (p, rows)
+        return rows
+
+    def scan(
+        self,
+        p: int,
+        corr: np.ndarray,
+        params: StrategyParams,
+        execution: ExecutionModel | None = None,
+        salt: int = 0,
+    ) -> list[Trade]:
+        """Backtest pair ``pairs[p]`` under one parameter set over the day.
+
+        ``corr``, ``params``, ``execution`` and ``salt`` are as for
+        :func:`run_pair_day`.  Entry candidates are the signalled
+        intervals at least ``ST`` before the close; one that falls while a
+        position is open is skipped, and only the rest draw the fill
+        lottery.  An open position is walked forward interval by interval
+        under the exit rules in priority order — retracement, holding
+        period, stop loss, correlation reversion, end of day — and the
+        next entry may come no earlier than the interval after its exit.
+        """
+        smax = self.smax
+        corr = np.asarray(corr, dtype=float)
+        if corr.shape != (smax,):
+            raise ValueError(f"corr must be ({smax},), got {corr.shape}")
+        rows = self._rows(p)
+        start = params.first_active_interval
+        if start >= smax - params.st:
+            return []
+
+        signal, c_bar = divergence_signals(
+            corr, params.a, params.d, params.w, params.y
+        )
+        leg0, leg1, spread = rows.leg0, rows.leg1, rows.spread_list
+        w, hp, l, rt = params.w, params.hp, params.l, params.rt
+        stop_loss = params.stop_loss
+        reversion = params.correlation_reversion
+        if reversion:
+            corr_l, c_bar_l = corr.tolist(), c_bar.tolist()
+            band = 1.0 - params.d
+        last = smax - 1
+
+        trades: list[Trade] = []
+        free = start  # no entry before this: no same-interval re-entry
+        for e in np.flatnonzero(signal[start : smax - params.st]).tolist():
+            e += start
+            if e < free or (
+                execution is not None and not execution.entry_fills(e, salt)
+            ):
+                continue
+            # Long the under-performer: the leg with the lower W-period return.
+            if leg0[e] / leg0[e - w] - 1.0 <= leg1[e] / leg1[e - w] - 1.0:
+                long_leg, longs, shorts = 0, leg0, leg1
+            else:
+                long_leg, longs, shorts = 1, leg1, leg0
+            p_long, p_short = longs[e], shorts[e]
+            n_long, n_short = shares_unchecked(p_long, p_short)
+            level, direction = level_unchecked(*rows.window(rt, e), spread[e], l)
+            rising, held = direction > 0, e + hp
+            for x in range(e + 1, smax):
+                if spread[x] >= level if rising else spread[x] <= level:
+                    reason = TradeReason.RETRACEMENT
+                elif x == held:
+                    reason = TradeReason.MAX_HOLDING
+                elif stop_loss is not None and return_unchecked(
+                    p_long, n_long, p_short, n_short, longs[x], shorts[x]
+                ) <= -stop_loss:
+                    reason = TradeReason.STOP_LOSS
+                elif (
+                    reversion
+                    and math.isfinite(c_bar_l[x])
+                    and c_bar_l[x] * band <= corr_l[x] < c_bar_l[x]
+                ):
+                    reason = TradeReason.CORR_REVERSION
+                elif x == last:
+                    reason = TradeReason.END_OF_DAY
+                else:
+                    continue
+                break
+            ret = return_unchecked(
+                p_long, n_long, p_short, n_short, longs[x], shorts[x]
+            )
+            if execution is not None:
+                position = PairPosition(
+                    entry_s=e,
+                    long_leg=long_leg,
+                    n_long=n_long,
+                    n_short=n_short,
+                    entry_price_long=p_long,
+                    entry_price_short=p_short,
+                    entry_spread=spread[e],
+                    retracement_level=level,
+                    retracement_direction=direction,
+                )
+                ret = execution.net_return(ret, position, longs[x], shorts[x])
+            trades.append(
+                Trade(e, x, ret, reason, long_leg, n_long, n_short)
+            )
+            free = x + 1
+        return trades
+
+
 def run_pair_day(
     prices: np.ndarray,
     corr: np.ndarray,
@@ -180,6 +346,8 @@ def run_pair_day(
     salt: int = 0,
 ) -> list[Trade]:
     """Backtest one (pair, parameter set) over one day.
+
+    The one-pair call of :meth:`DayBlock.scan`.
 
     Parameters
     ----------
@@ -205,46 +373,9 @@ def run_pair_day(
     prices = np.asarray(prices, dtype=float)
     if prices.ndim != 2 or prices.shape[1] != 2:
         raise ValueError(f"prices must be (smax, 2), got {prices.shape}")
-    smax = prices.shape[0]
-    corr = np.asarray(corr, dtype=float)
-    if corr.shape != (smax,):
-        raise ValueError(f"corr must be ({smax},), got {corr.shape}")
-    if np.any(prices <= 0) or np.any(~np.isfinite(prices)):
-        raise ValueError("prices must be positive and finite")
-
-    start = params.first_active_interval
-    if start >= smax:
-        return []
-
-    signal, c_bar = divergence_signals(corr, params.a, params.d, params.w, params.y)
-    spread = prices[:, 0] - prices[:, 1]
-    # W-period simple returns of each leg, aligned to interval index.
-    perf = np.full((smax, 2), np.nan)
-    perf[params.w :] = prices[params.w :] / prices[: -params.w] - 1.0
-
-    trades: list[Trade] = []
-    position: PairPosition | None = None
-    for s in range(start, smax):
-        if position is not None:
-            reason = _close_reason(
-                position, s, smax, prices, spread[s], corr[s], c_bar[s],
-                params,
-            )
-            if reason is not None:
-                trades.append(_close(position, s, prices, reason, execution))
-                position = None
-                continue  # no same-interval re-entry
-        if (
-            position is None
-            and signal[s]
-            and (smax - 1 - s) >= params.st
-            and (execution is None or execution.entry_fills(s, salt))
-        ):
-            position = _open_position(
-                s, prices[s], perf[s], spread[s - params.rt + 1 : s + 1],
-                params,
-            )
-    return trades
+    return DayBlock(prices, [(0, 1)]).scan(
+        0, corr, params, execution=execution, salt=salt
+    )
 
 
 class PairStrategy:

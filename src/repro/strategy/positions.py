@@ -29,6 +29,13 @@ def cash_neutral_shares(price_long: float, price_short: float) -> tuple[int, int
     """
     price_long = check_positive(price_long, "price_long")
     price_short = check_positive(price_short, "price_short")
+    return shares_unchecked(price_long, price_short)
+
+
+def shares_unchecked(price_long: float, price_short: float) -> tuple[int, int]:
+    """:func:`cash_neutral_shares` for prices the caller has already
+    checked finite and positive (a :class:`~repro.strategy.engine.DayBlock`
+    checks its whole day once)."""
     if price_long >= price_short:
         return 1, max(1, math.floor(price_long / price_short))
     return math.ceil(price_short / price_long), 1
@@ -90,7 +97,24 @@ def position_return(
     """
     check_positive(exit_price_long, "exit_price_long")
     check_positive(exit_price_short, "exit_price_short")
-    profit = (exit_price_long - position.entry_price_long) * position.n_long + (
-        position.entry_price_short - exit_price_short
-    ) * position.n_short
-    return profit / position.basis
+    return return_unchecked(
+        position.entry_price_long, position.n_long,
+        position.entry_price_short, position.n_short,
+        exit_price_long, exit_price_short,
+    )
+
+
+def return_unchecked(
+    entry_price_long: float,
+    n_long: int,
+    entry_price_short: float,
+    n_short: int,
+    exit_price_long: float,
+    exit_price_short: float,
+) -> float:
+    """:func:`position_return` on a position's fields, for prices the
+    caller has already checked; the divisor is :attr:`PairPosition.basis`."""
+    profit = (exit_price_long - entry_price_long) * n_long + (
+        entry_price_short - exit_price_short
+    ) * n_short
+    return profit / (entry_price_long * n_long + entry_price_short * n_short)

@@ -52,9 +52,18 @@ def retracement_level(
         raise ValueError("spread_window must be a non-empty 1-D array")
     if not np.all(np.isfinite(window)) or not np.isfinite(entry_spread):
         raise ValueError("spreads must be finite")
-    s_low = float(window.min())
-    s_high = float(window.max())
-    s_avg = float(window.mean())
+    level, direction = level_unchecked(
+        float(window.min()), float(window.max()), float(window.mean()),
+        entry_spread, l,
+    )
+    return RetracementLevel(level=level, direction=direction)
+
+
+def level_unchecked(
+    s_low: float, s_high: float, s_avg: float, entry_spread: float, l: float
+) -> tuple[float, int]:
+    """:func:`retracement_level` from the window's low, high and mean, as
+    ``(level, direction)``, for inputs the caller has already checked."""
     if entry_spread <= s_avg:
-        return RetracementLevel(level=s_low + l * (s_high - s_low), direction=+1)
-    return RetracementLevel(level=s_high - l * (s_high - s_low), direction=-1)
+        return s_low + l * (s_high - s_low), +1
+    return s_high - l * (s_high - s_low), -1

@@ -1,7 +1,9 @@
 """Frozen reference implementations the production kernels are tested against.
 
 The per-window correlation oracle comes first; :class:`PerQuoteBarAccumulator`
-(the bar accumulator as it stood before the one-kernel form) is at the end.
+(the bar accumulator as it stood before the one-kernel form) and
+:func:`frozen_run_pair_day` (the strategy's per-interval loop as it stood
+before the event-driven day-block scan) are at the end.
 
 A reference implementation, deliberately slow and obvious: for the robust
 measures one kernel call per window (batch size 1, i.e. the genuine scalar
@@ -19,6 +21,9 @@ from repro.corr.combined import combined_corr_batched
 from repro.corr.maronna import MaronnaConfig, maronna_corr_batched
 from repro.corr.measures import CorrelationType, all_pairs
 from repro.corr.pearson import pearson_series
+from repro.strategy.engine import _close, _close_reason, _open_position
+from repro.strategy.positions import PairPosition
+from repro.strategy.signals import divergence_signals
 
 
 def reference_pair_series(returns, m, ctype="pearson", config=None, pairs=None):
@@ -190,3 +195,54 @@ class PerQuoteBarAccumulator:
                 int(rec["symbol"]), float(rec["bid"]), float(rec["ask"])
             )
         return self.close()
+
+
+def frozen_run_pair_day(prices, corr, params, execution=None, salt=0):
+    """The strategy's frozen definition: the body of ``run_pair_day`` as
+    it stood at commit ee784eb, one Python step per interval, with its
+    checks.  It shares the entry, exit and close helpers of the streaming
+    ``PairStrategy``.  ``DayBlock.scan`` (and so ``run_pair_day`` and
+    ``run_cells``) must equal it trade for trade, bit for bit."""
+    prices = np.asarray(prices, dtype=float)
+    if prices.ndim != 2 or prices.shape[1] != 2:
+        raise ValueError(f"prices must be (smax, 2), got {prices.shape}")
+    smax = prices.shape[0]
+    corr = np.asarray(corr, dtype=float)
+    if corr.shape != (smax,):
+        raise ValueError(f"corr must be ({smax},), got {corr.shape}")
+    if np.any(prices <= 0) or np.any(~np.isfinite(prices)):
+        raise ValueError("prices must be positive and finite")
+
+    start = params.first_active_interval
+    if start >= smax:
+        return []
+
+    signal, c_bar = divergence_signals(corr, params.a, params.d, params.w, params.y)
+    spread = prices[:, 0] - prices[:, 1]
+    # W-period simple returns of each leg, aligned to interval index.
+    perf = np.full((smax, 2), np.nan)
+    perf[params.w :] = prices[params.w :] / prices[: -params.w] - 1.0
+
+    trades = []
+    position: PairPosition | None = None
+    for s in range(start, smax):
+        if position is not None:
+            reason = _close_reason(
+                position, s, smax, prices, spread[s], corr[s], c_bar[s],
+                params,
+            )
+            if reason is not None:
+                trades.append(_close(position, s, prices, reason, execution))
+                position = None
+                continue  # no same-interval re-entry
+        if (
+            position is None
+            and signal[s]
+            and (smax - 1 - s) >= params.st
+            and (execution is None or execution.entry_fills(s, salt))
+        ):
+            position = _open_position(
+                s, prices[s], perf[s], spread[s - params.rt + 1 : s + 1],
+                params,
+            )
+    return trades

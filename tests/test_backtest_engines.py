@@ -559,18 +559,18 @@ class TestHostileDays:
         the close by the time it reaches the strategy.  No quote stream
         produces this through the engines (the kernels refuse NaN returns
         and define the degenerate window as 0.0), so it is injected at the
-        one call every route makes: the cell loop's ``run_pair_day``."""
-        from repro.backtest import runner
+        one call every route makes: ``DayBlock.scan``."""
+        from repro.strategy.engine import DayBlock
 
-        real = runner.run_pair_day
+        real = DayBlock.scan
 
-        def dark(prices, corr, params, **kwargs):
+        def dark(self, p, corr, params, **kwargs):
             if params.ctype is CorrelationType.PEARSON:
                 assert np.isfinite(corr[params.m :]).all()
                 corr = np.full_like(corr, np.nan)
-            return real(prices, corr, params, **kwargs)
+            return real(self, p, corr, params, **kwargs)
 
-        monkeypatch.setattr(runner, "run_pair_day", dark)
+        monkeypatch.setattr(DayBlock, "scan", dark)
 
     @pytest.mark.parametrize("route", ENGINE_ROUTES)
     def test_all_nan_correlation_window_opens_nothing(

@@ -117,18 +117,18 @@ class TestFailureManifest:
     @pytest.fixture
     def broken_cell(self, monkeypatch):
         """Make exactly the (BAD_PAIR, BAD_K) cell raise, every day — in
-        the one place every engine runs a cell."""
-        from repro.backtest import runner
+        the one place every engine runs a cell: ``DayBlock.scan``."""
+        from repro.strategy.engine import DayBlock
 
-        real = runner.run_pair_day
+        real = DayBlock.scan
         bad_salt = execution_salt(self.BAD_PAIR, self.BAD_K)
 
-        def wrapper(*args, **kwargs):
+        def wrapper(self, *args, **kwargs):
             if kwargs.get("salt") == bad_salt:
                 raise RuntimeError("synthetic cell failure")
-            return real(*args, **kwargs)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(runner, "run_pair_day", wrapper)
+        monkeypatch.setattr(DayBlock, "scan", wrapper)
 
     def _sequential(self, on_error):
         """Approach 2 over the BASE study: (store, grid, failures)."""
@@ -163,6 +163,7 @@ class TestFailureManifest:
             SweepConfig(ranks=2, on_error="continue", **self.BASE),
             failures=dist_failures,
         )
+        assert len(seq_failures) == 2
         assert dist_store == seq_store
         assert [f.sort_key for f in dist_failures] == [
             f.sort_key for f in seq_failures
