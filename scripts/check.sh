@@ -41,6 +41,9 @@ else
     echo "mypy not installed; skipping (config lives in pyproject.toml)"
 fi
 
+echo "== import path stays scipy-free =="
+python -c "import sys, repro, repro.backtest, repro.marketminer.session, repro.serve; assert 'scipy' not in sys.modules"
+
 echo "== docs: internal links + CLI examples parse =="
 python scripts/checkdocs.py
 

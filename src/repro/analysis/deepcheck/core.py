@@ -507,7 +507,8 @@ def self_method_calls(fn: ast.FunctionDef) -> set[str]:
 
 def mutable_attrs(index: ModuleIndex, cls: ClassInfo) -> set[str]:
     """Attrs that hold mutable containers: initialised to one in
-    ``__init__`` (or an init-only helper), or hit by a mutator call."""
+    ``__init__`` (or an init-only helper), hit by a mutator call, or
+    assigned an instance of an indexed class that defines ``copy()``."""
     methods = index.resolved_methods(cls, stop_at=None)
     out: set[str] = set()
     init_scope = {"__init__"} | index.init_only_methods(cls)
@@ -529,6 +530,13 @@ def mutable_attrs(index: ModuleIndex, cls: ClassInfo) -> set[str]:
         if name in ("__init__", "restore"):
             continue
         for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                # An object that checkpoints itself carries state.
+                built = index.resolve_class(
+                    base_name(node.value.func) or "", near=cls.module
+                )
+                if built is not None and "copy" in built.methods:
+                    out.update(filter(None, map(is_self_attr, node.targets)))
             if isinstance(node, ast.Call):
                 func = node.func
                 if (

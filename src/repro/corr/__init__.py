@@ -20,7 +20,9 @@ the whole universe from one set of batch kernels (:mod:`repro.corr.batch`
 incremental online engine (:mod:`repro.corr.online`), PSD repair for
 pairwise-assembled robust matrices (:mod:`repro.corr.psd`) and the
 block-parallel matrix engine that runs over the MPI substrate
-(:mod:`repro.corr.parallel`).
+(:mod:`repro.corr.parallel`).  Pair screening and clustering
+(:mod:`repro.corr.clustering`) are imported from their module, which
+loads scipy only when called.
 """
 
 from repro.corr.batch import (
@@ -29,14 +31,6 @@ from repro.corr.batch import (
     batch_pair_series,
     corr_matrix_series,
     corr_series,
-)
-from repro.corr.clustering import (
-    CandidatePair,
-    correlation_clusters,
-    fisher_lower_bound,
-    hierarchical_clusters,
-    screen_candidate_pairs,
-    threshold_graph,
 )
 from repro.corr.combined import combined_corr, combined_corr_batched
 from repro.corr.eigen import (
@@ -69,7 +63,6 @@ from repro.corr.psd import is_psd, nearest_psd_correlation
 
 __all__ = [
     "BatchWorkspace",
-    "CandidatePair",
     "CorrelationType",
     "MarketMode",
     "MaronnaConfig",
@@ -81,12 +74,9 @@ __all__ = [
     "batch_pair_series",
     "combined_corr",
     "combined_corr_batched",
-    "correlation_clusters",
     "corr_matrix",
     "corr_matrix_series",
     "corr_series",
-    "fisher_lower_bound",
-    "hierarchical_clusters",
     "is_psd",
     "market_mode",
     "maronna_corr",
@@ -99,6 +89,4 @@ __all__ = [
     "pearson_matrix",
     "pearson_series",
     "residual_correlation",
-    "screen_candidate_pairs",
-    "threshold_graph",
 ]

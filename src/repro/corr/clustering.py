@@ -23,9 +23,6 @@ from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
-from scipy.cluster import hierarchy
-from scipy.spatial.distance import squareform
-from scipy.stats import norm
 
 from repro.util.validation import check_positive_int
 
@@ -83,6 +80,9 @@ def hierarchical_clusters(matrix, n_clusters: int) -> list[set[int]]:
         raise ValueError(f"cannot form {n_clusters} clusters from {n} stocks")
     if n == 1:
         return [{0}]
+    from scipy.cluster import hierarchy  # scipy stays off the import path
+    from scipy.spatial.distance import squareform
+
     dist = np.sqrt(np.maximum(2.0 * (1.0 - m), 0.0))
     np.fill_diagonal(dist, 0.0)
     linkage = hierarchy.linkage(squareform(dist, checks=False), method="average")
@@ -116,6 +116,8 @@ def fisher_lower_bound(rho: float, n_obs: int, confidence: float = 0.95) -> floa
         raise ValueError(f"need at least 4 observations, got {n_obs}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    from scipy.stats import norm  # scipy stays off the import path
+
     rho = float(np.clip(rho, -0.999999, 0.999999))
     z = np.arctanh(rho)
     z_alpha = norm.ppf(confidence)

@@ -28,16 +28,18 @@ robust scale (constant series) yield correlation 0.0, consistent with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from repro.util.validation import check_positive, check_positive_int
 
 #: Huber radius: 95% chi-square quantile for 2 dimensions, the standard
-#: tuning for bivariate Huber scatter.
-DEFAULT_HUBER_K: float = float(np.sqrt(chi2.ppf(0.95, df=2)))
+#: tuning for bivariate Huber scatter.  With 2 degrees of freedom the
+#: chi-square quantile has the closed form ``-2 log(1 - p)``; this is
+#: bitwise ``sqrt(scipy.stats.chi2.ppf(0.95, 2))``.
+DEFAULT_HUBER_K: float = math.sqrt(-2.0 * math.log1p(-0.95))
 
 _EPS = 1e-18
 

@@ -1,11 +1,12 @@
 """The Pair Trading Strategy component (Figure 1).
 
 Joins the two analytics streams — bar closes ("Quotes & Prices") and
-correlation matrices — and drives one
-:class:`~repro.strategy.engine.PairStrategy` state machine per
-(pair, parameter set).  Emits order requests as positions open and close
-(the stream the order sink aggregates into baskets) and trade records as
-round trips complete.
+correlation matrices — and steps every (pair, parameter set) cell of an
+interval at once through one :class:`~repro.strategy.engine.CellBank`,
+on the batch engine's own definitions (so its trades are the batch's by
+construction).  Emits order requests as positions open and close (the
+stream the order sink aggregates into baskets) and trade records as
+round trips complete, pair-major, then by parameter set.
 
 Stream alignment: the close row for interval ``s`` and the correlation
 matrix for ``s`` arrive on independent paths with no ordering guarantee
@@ -19,13 +20,12 @@ correlation, exactly like the batch engine's warm-up.
 from __future__ import annotations
 
 import copy
-import math
 
 import numpy as np
 
 from repro.faults.policy import DegradePolicy, StaleCorr
 from repro.marketminer.component import Component, Context
-from repro.strategy.engine import PairStrategy, Trade
+from repro.strategy.engine import CellBank, Trade
 from repro.strategy.params import StrategyParams
 from repro.strategy.portfolio import OrderRequest
 
@@ -84,9 +84,10 @@ class PairTradingComponent(Component):
         #: of pair blocks still being joined from several engines.
         self._corr: dict[int, np.ndarray | dict] = {}
         self._pair_set = set(self.pairs)
+        self._pair_i, self._pair_j = np.asarray(self.pairs).T
         self._next_s = 0  # next interval to process
         self._head: int | None = None  # first fully-priced interval
-        self._strategies: dict[tuple[tuple[int, int], int], PairStrategy] = {}
+        self._bank: CellBank | None = None  # built at the head interval
         self._trades: dict[tuple[tuple[int, int], int], list[Trade]] = {}
         self._orders_emitted = 0
 
@@ -130,9 +131,7 @@ class PairTradingComponent(Component):
         m.counter(f"pipeline.{self.name}.trades").inc(
             sum(len(t) for t in self._trades.values())
         )
-        m.counter(f"pipeline.{self.name}.strategies").inc(
-            len(self._strategies)
-        )
+        m.counter(f"pipeline.{self.name}.strategies").inc(len(self._trades))
         if self.degrade is not None:
             m.counter(f"pipeline.{self.name}.degraded_intervals").inc(
                 self._degraded
@@ -185,11 +184,18 @@ class PairTradingComponent(Component):
 
     def _build_strategies(self) -> None:
         assert self._head is not None
-        local_smax = self.smax - self._head
-        for pair in self.pairs:
-            for k in range(len(self.grid)):
-                self._strategies[(pair, k)] = PairStrategy(self.grid[k], local_smax)
-                self._trades[(pair, k)] = []
+        self._bank = CellBank(self.pairs, self.grid, self.smax - self._head)
+        self._trades = {
+            (pair, k): [] for pair in self.pairs for k in range(len(self.grid))
+        }
+
+    def _corr_row(self, corr: np.ndarray | dict | None) -> np.ndarray:
+        """One correlation per pair, NaN for a missing (warm-up) matrix."""
+        if corr is None:
+            return np.full(len(self.pairs), np.nan)
+        if isinstance(corr, dict):
+            return np.array([corr[pair] for pair in self.pairs], dtype=float)
+        return corr[self._pair_i, self._pair_j]
 
     def _step_all(
         self,
@@ -198,7 +204,7 @@ class PairTradingComponent(Component):
         closes: np.ndarray,
         corr: np.ndarray | dict | StaleCorr | None,
     ) -> None:
-        assert self._head is not None
+        assert self._head is not None and self._bank is not None
         s_local = s - self._head
         stale = isinstance(corr, StaleCorr)
         if stale:
@@ -206,70 +212,44 @@ class PairTradingComponent(Component):
             ctx.obs.metrics.counter(
                 f"pipeline.{self.name}.stale_intervals"
             ).inc()
-        flatten = stale and self.degrade is not None and self.degrade.flatten
-        for pair in self.pairs:
-            i, j = pair
-            if corr is None or stale:
-                # Degraded (or warm-up) interval: NaN correlation blocks
-                # the entry signal by construction.
-                c = math.nan
-            elif isinstance(corr, dict):
-                c = float(corr[pair])
+        if stale and self.degrade is not None and self.degrade.flatten:
+            events = self._bank.flatten(s_local, closes)
+        else:
+            # A degraded (or warm-up) interval steps with NaN correlation,
+            # which blocks the entry signal by construction.
+            events = self._bank.step(
+                s_local, closes, self._corr_row(None if stale else corr)
+            )
+        for c, trade in events:
+            pair, k = self._bank.cell(c)
+            # Emit under the study-global parameter index so order
+            # sinks shared by several spec strategies never collide.
+            k_out = self.param_indices[k] if self.param_indices else k
+            if trade is not None:
+                self._trades[(pair, k)].append(trade)
+                ctx.emit("trades", (pair, k_out, trade))
+                legs = (trade.long_leg, trade.n_long, trade.n_short)
+                self._emit_orders(ctx, "exit", s, pair, k_out, legs, closes)
             else:
-                c = float(corr[i, j])
-            for k in range(len(self.grid)):
-                strat = self._strategies[(pair, k)]
-                before = strat.open_position
-                if flatten:
-                    trade = strat.flatten(
-                        s_local, float(closes[i]), float(closes[j])
-                    )
-                else:
-                    trade = strat.step(
-                        s_local, float(closes[i]), float(closes[j]), c
-                    )
-                after = strat.open_position
-                # Emit under the study-global parameter index so order
-                # sinks shared by several spec strategies never collide.
-                k_out = self.param_indices[k] if self.param_indices else k
-                if trade is not None:
-                    self._trades[(pair, k)].append(trade)
-                    ctx.emit("trades", (pair, k_out, trade))
-                    self._emit_close_orders(ctx, s, pair, k_out, trade, closes)
-                if before is None and after is not None:
-                    self._emit_open_orders(ctx, s, pair, k_out, after, closes)
+                legs = self._bank.entry(c)
+                self._emit_orders(ctx, "entry", s, pair, k_out, legs, closes)
 
-    def _emit_open_orders(self, ctx, s, pair, k, position, closes) -> None:
-        i, j = pair
-        long_sym = pair[position.long_leg]
-        short_sym = pair[1 - position.long_leg]
-        legs = (
+    def _emit_orders(self, ctx, kind, s, pair, k, legs, closes) -> None:
+        """Both legs of an ``entry`` or ``exit``, at the interval's closes."""
+        long_leg, n_long, n_short = legs
+        sign = 1 if kind == "entry" else -1
+        long_sym, short_sym = pair[long_leg], pair[1 - long_leg]
+        orders = (
             OrderRequest(
-                s=s, symbol=long_sym, shares=position.n_long,
+                s=s, symbol=long_sym, shares=sign * n_long,
                 price=float(closes[long_sym]), pair=pair, param_index=k,
             ),
             OrderRequest(
-                s=s, symbol=short_sym, shares=-position.n_short,
+                s=s, symbol=short_sym, shares=-sign * n_short,
                 price=float(closes[short_sym]), pair=pair, param_index=k,
             ),
         )
-        ctx.emit("orders", ("entry", legs))
-        self._orders_emitted += 2
-
-    def _emit_close_orders(self, ctx, s, pair, k, trade: Trade, closes) -> None:
-        long_sym = pair[trade.long_leg]
-        short_sym = pair[1 - trade.long_leg]
-        legs = (
-            OrderRequest(
-                s=s, symbol=long_sym, shares=-trade.n_long,
-                price=float(closes[long_sym]), pair=pair, param_index=k,
-            ),
-            OrderRequest(
-                s=s, symbol=short_sym, shares=trade.n_short,
-                price=float(closes[short_sym]), pair=pair, param_index=k,
-            ),
-        )
-        ctx.emit("orders", ("exit", legs))
+        ctx.emit("orders", (kind, orders))
         self._orders_emitted += 2
 
     def result(self) -> dict:
@@ -289,7 +269,7 @@ class PairTradingComponent(Component):
             "corr": copy.deepcopy(self._corr),
             "next_s": self._next_s,
             "head": self._head,
-            "strategies": copy.deepcopy(self._strategies),
+            "bank": None if self._bank is None else self._bank.copy(),
             "trades": copy.deepcopy(self._trades),
             "orders_emitted": self._orders_emitted,
             "degraded": self._degraded,
@@ -301,7 +281,26 @@ class PairTradingComponent(Component):
         self._corr = copy.deepcopy(state["corr"])
         self._next_s = state["next_s"]
         self._head = state["head"]
-        self._strategies = copy.deepcopy(state["strategies"])
+        bank = state["bank"]
+        self._bank = None if bank is None else bank.copy()
         self._trades = copy.deepcopy(state["trades"])
         self._orders_emitted = state["orders_emitted"]
         self._degraded = state["degraded"]
+
+    @staticmethod
+    def checkpoint_positions(state: dict) -> tuple[list[dict], int]:
+        """Open positions, one row per cell in ``(pair, k)`` order, and the
+        number of completed trades, read from a :meth:`snapshot`."""
+        bank = state.get("bank")
+        cells = [] if bank is None else sorted(
+            (bank.cell(c), bank.position(c)) for c in bank.open_cells()
+        )
+        rows = [
+            {"pair": list(pair), "param_set": k, "entry_s": pos.entry_s,
+             "long_leg": pos.long_leg, "n_long": pos.n_long,
+             "n_short": pos.n_short, "entry_spread": pos.entry_spread,
+             "retracement_level": pos.retracement_level}
+            for (pair, k), pos in cells
+        ]
+        n_trades = sum(len(t) for t in state.get("trades", {}).values())
+        return rows, n_trades

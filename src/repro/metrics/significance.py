@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.corr.measures import CorrelationType
 from repro.metrics.summary import treatment_samples
@@ -81,6 +80,8 @@ def paired_comparison(
         t_stat, t_p = 0.0, 1.0
         w_stat, w_p = 0.0, 1.0
     else:
+        from scipy import stats as sps  # scipy stays off the import path
+
         t_stat, t_p = sps.ttest_rel(a, b)
         w_stat, w_p = sps.wilcoxon(a, b, zero_method="wilcox")
 

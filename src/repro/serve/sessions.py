@@ -31,6 +31,7 @@ import threading
 import time
 from typing import Any
 
+from repro.marketminer.components.strategy import PairTradingComponent
 from repro.marketminer.session import SessionControl, SessionKilled
 from repro.obs.live.rings import EventRing
 
@@ -562,26 +563,9 @@ class Session:
         if checkpoint is None:
             return {"epoch": None, "positions": [], "trades": 0}
         epoch, snapshots = checkpoint
-        state = snapshots.get("pair_trading", {})
-        rows = []
-        n_trades = 0
-        for (pair, k), strat in sorted(state.get("strategies", {}).items()):
-            n_trades += len(strat.trades)
-            pos = strat.open_position
-            if pos is None:
-                continue
-            rows.append(
-                {
-                    "pair": list(pair),
-                    "param_set": k,
-                    "entry_s": pos.entry_s,
-                    "long_leg": pos.long_leg,
-                    "n_long": pos.n_long,
-                    "n_short": pos.n_short,
-                    "entry_spread": pos.entry_spread,
-                    "retracement_level": pos.retracement_level,
-                }
-            )
+        rows, n_trades = PairTradingComponent.checkpoint_positions(
+            snapshots.get("pair_trading", {})
+        )
         return {"epoch": epoch, "positions": rows, "trades": n_trades}
 
     def signals(self, limit: int = 100) -> dict:

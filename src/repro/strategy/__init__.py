@@ -9,8 +9,8 @@ level, a maximum holding period, or the end of the day.
 Submodules: parameters and the Table-I grid (:mod:`~repro.strategy.params`),
 divergence signal computation (:mod:`~repro.strategy.signals`), position
 sizing (:mod:`~repro.strategy.positions`), retracement levels
-(:mod:`~repro.strategy.retracement`), the per-pair state machine
-(:mod:`~repro.strategy.engine`) and basket/risk aggregation
+(:mod:`~repro.strategy.retracement`), the day-block scan and the streaming
+cell bank (:mod:`~repro.strategy.engine`) and basket/risk aggregation
 (:mod:`~repro.strategy.portfolio`).
 """
 
@@ -23,8 +23,8 @@ from repro.strategy.execution_algo import (
     simulate_fills,
 )
 from repro.strategy.engine import (
+    CellBank,
     DayBlock,
-    PairStrategy,
     Trade,
     TradeReason,
     align_corr_series,
@@ -48,6 +48,7 @@ from repro.strategy.signals import average_correlation, divergence_signals
 
 __all__ = [
     "BasketAggregator",
+    "CellBank",
     "ChildOrder",
     "DayBlock",
     "ExecutionModel",
@@ -56,7 +57,6 @@ __all__ = [
     "ListExecutionScheduler",
     "OrderRequest",
     "PairPosition",
-    "PairStrategy",
     "RetracementLevel",
     "RiskLimits",
     "StrategyParams",

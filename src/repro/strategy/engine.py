@@ -9,14 +9,19 @@ to the next, walks each open position forward to its exit, and reduces
 the trailing ``RT`` spread window only at entries.  :func:`run_pair_day`
 is the one-pair call of the same scan.
 
-:class:`PairStrategy` is the streaming form used by the MarketMiner
-pipeline component: fed one interval at a time through its own entry,
-exit and close helpers, it emits exactly the trades :func:`run_pair_day`
-produces (an invariant under test).
+:class:`CellBank` is the streaming form used by the MarketMiner pipeline
+component: every (pair, parameter set) cell of the stream held as
+arrays and advanced one interval at a time by a fixed number of numpy
+operations, on the batch's own definitions (C̄ a cumsum difference,
+freshness a diverged run shorter than ``Y``, the ``RT`` mean the
+contiguous slice's ``ndarray.mean``), so it emits the trades
+:func:`run_pair_day` produces by construction.  The one-object-per-cell
+``PairStrategy`` it replaced is kept as a test oracle.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -27,12 +32,10 @@ from repro.strategy.costs import ExecutionModel
 from repro.strategy.params import StrategyParams
 from repro.strategy.positions import (
     PairPosition,
-    cash_neutral_shares,
-    position_return,
     return_unchecked,
     shares_unchecked,
 )
-from repro.strategy.retracement import level_unchecked, retracement_level
+from repro.strategy.retracement import level_unchecked
 from repro.strategy.signals import divergence_signals
 
 
@@ -84,95 +87,6 @@ def align_corr_series(series: np.ndarray, smax: int, m: int) -> np.ndarray:
     out = np.full(smax, np.nan)
     out[m:] = series
     return out
-
-
-def _open_position(
-    s: int,
-    price_s: np.ndarray,
-    perf_s: np.ndarray,
-    spread_rt: np.ndarray,
-    params: StrategyParams,
-) -> PairPosition:
-    """Steps 3–5: choose legs, size the trade, set the retracement target.
-
-    Takes interval ``s``'s own rows: the two legs' prices, their W-period
-    returns and the trailing ``RT`` spreads ending at ``s``.
-    """
-    # Long the under-performer: the leg with the lower W-period return.
-    long_leg = 0 if perf_s[0] <= perf_s[1] else 1
-    short_leg = 1 - long_leg
-    p_long = float(price_s[long_leg])
-    p_short = float(price_s[short_leg])
-    n_long, n_short = cash_neutral_shares(p_long, p_short)
-    spread_s = float(spread_rt[-1])
-    level = retracement_level(spread_rt, spread_s, params.l)
-    return PairPosition(
-        entry_s=s,
-        long_leg=long_leg,
-        n_long=n_long,
-        n_short=n_short,
-        entry_price_long=p_long,
-        entry_price_short=p_short,
-        entry_spread=spread_s,
-        retracement_level=level.level,
-        retracement_direction=level.direction,
-    )
-
-
-def _close_reason(
-    position: PairPosition,
-    s: int,
-    smax: int,
-    prices: np.ndarray,
-    spread_s: float,
-    corr_s: float,
-    c_bar_s: float,
-    params: StrategyParams,
-) -> TradeReason | None:
-    """Exit rules in priority order: retracement, HP, extensions, EOD.
-
-    The streaming state machine's exit rule (:meth:`DayBlock.scan` applies
-    the same rules in the same order); ``spread_s``, ``corr_s`` and
-    ``c_bar_s`` are the interval's scalars.
-    """
-    if position.retracement_hit(float(spread_s)):
-        return TradeReason.RETRACEMENT
-    if s - position.entry_s >= params.hp:
-        return TradeReason.MAX_HOLDING
-    if params.stop_loss is not None:
-        p_long = float(prices[s, position.long_leg])
-        p_short = float(prices[s, 1 - position.long_leg])
-        if position_return(position, p_long, p_short) <= -params.stop_loss:
-            return TradeReason.STOP_LOSS
-    if params.correlation_reversion and np.isfinite(c_bar_s):
-        if c_bar_s * (1.0 - params.d) <= corr_s < c_bar_s:
-            return TradeReason.CORR_REVERSION
-    if s == smax - 1:
-        return TradeReason.END_OF_DAY
-    return None
-
-
-def _close(
-    position: PairPosition,
-    s: int,
-    prices: np.ndarray,
-    reason: TradeReason,
-    execution: ExecutionModel | None = None,
-) -> Trade:
-    p_long = float(prices[s, position.long_leg])
-    p_short = float(prices[s, 1 - position.long_leg])
-    ret = position_return(position, p_long, p_short)
-    if execution is not None:
-        ret = execution.net_return(ret, position, p_long, p_short)
-    return Trade(
-        entry_s=position.entry_s,
-        exit_s=s,
-        ret=ret,
-        reason=reason,
-        long_leg=position.long_leg,
-        n_long=position.n_long,
-        n_short=position.n_short,
-    )
 
 
 class _PairRows:
@@ -378,143 +292,240 @@ def run_pair_day(
     )
 
 
-class PairStrategy:
-    """Streaming form of the strategy for pipeline use.
+class CellBank:
+    """Every (pair, parameter set) cell of a stream, held as arrays.
 
-    Feed intervals in order with :meth:`step`; each call may emit a
-    completed :class:`Trade`.  Produces exactly the trades of
-    :func:`run_pair_day` over the same inputs.
+    ``pairs`` are ``(i, j)`` columns of the close rows fed to
+    :meth:`step`; cell ``c`` is pair ``c // len(grid)`` under parameter
+    set ``c % len(grid)``.  Each step advances every cell with a fixed
+    number of numpy operations; Python runs only for the cells that open
+    or close.  The definitions are the batch's: C̄ is
+    :func:`~repro.strategy.signals.average_correlation`'s cumsum
+    difference (a running row sum is sequential, so its floats are
+    ``np.cumsum``'s), a divergence is fresh while the diverged run before
+    ``s`` is shorter than ``Y`` (``prev_count < y``), and the ``RT``
+    spread mean is ``ndarray.mean`` of the contiguous slice, as in
+    :class:`DayBlock` — so a cell trades exactly as :func:`run_pair_day`.
     """
 
     def __init__(
-        self,
-        params: StrategyParams,
-        smax: int,
-        execution: ExecutionModel | None = None,
-        salt: int = 0,
+        self, pairs: list[tuple[int, int]], grid: list[StrategyParams], smax: int
     ):
         if smax <= 0:
             raise ValueError(f"smax must be positive, got {smax}")
-        self.params = params
-        self.smax = smax
-        self.execution = execution
-        self.salt = salt
+        self.pairs, self.grid, self.smax = [tuple(p) for p in pairs], list(grid), smax
+        n_pairs, n_sets = len(self.pairs), len(self.grid)
+        # Closes are kept for the symbols the pairs use only.
+        self._symbols, legs = np.unique(self.pairs, return_inverse=True)
+        self._leg0, self._leg1 = legs.reshape(n_pairs, 2).T
+        k = np.tile(np.arange(n_sets), n_pairs)
+        self._pair = np.repeat(np.arange(n_pairs), n_sets)
+        self._col0, self._col1 = self._leg0[self._pair], self._leg1[self._pair]
+
+        def per_cell(values, dtype=float):
+            return np.asarray(values, dtype=dtype)[k]
+
+        grid = self.grid
+        self._w = per_cell([p.w for p in grid], np.int64)
+        self._y = per_cell([p.y for p in grid], np.int64)
+        self._a = per_cell([p.a for p in grid])
+        self._band = per_cell([1.0 - p.d for p in grid])
+        self._first_entry = per_cell(
+            [max(p.first_active_interval, p.y) for p in grid], np.int64
+        )
+        self._last_entry = per_cell([smax - 1 - p.st for p in grid], np.int64)
+        self._stop = per_cell([-math.inf if p.stop_loss is None else -p.stop_loss
+                               for p in grid])
+        self._reversion = per_cell([p.correlation_reversion for p in grid], bool)
+
         self._s = 0
-        self._prices = np.full((smax, 2), np.nan)
-        self._corr = np.full(smax, np.nan)
-        self._position: PairPosition | None = None
-        self._trades: list[Trade] = []
+        self._prices = np.full((smax, self._symbols.size), np.nan)
+        self._spread = np.full((n_pairs, smax), np.nan)  # rows: contiguous RT
+        self._csum = np.zeros((smax + 1, n_pairs))
+        self._count = np.zeros((smax + 1, n_pairs), dtype=np.int64)
+        n = k.size
+        self._open = np.zeros(n, dtype=bool)
+        self._rising = np.zeros(n, dtype=bool)
+        (self._run, self._entry_s, self._held, self._long_leg, self._long_col,
+         self._short_col, self._n_long, self._n_short) = np.zeros((8, n), np.int64)
+        (self._entry_long, self._entry_short, self._entry_spread,
+         self._level) = np.full((4, n), np.nan)
 
-    @property
-    def trades(self) -> list[Trade]:
-        """Completed trades so far."""
-        return list(self._trades)
+    def cell(self, c: int) -> tuple[tuple[int, int], int]:
+        """``(pair, parameter index)`` of cell ``c``."""
+        return self.pairs[c // len(self.grid)], c % len(self.grid)
 
-    @property
-    def open_position(self) -> PairPosition | None:
-        return self._position
+    def open_cells(self) -> list[int]:
+        """The cells holding a position, in cell order."""
+        return np.flatnonzero(self._open).tolist()
 
-    def _record(
-        self, s: int, price_0: float, price_1: float, corr_s: float
+    def copy(self) -> CellBank:
+        """An independent copy (a checkpoint)."""
+        return copy.deepcopy(self)
+
+    def position(self, c: int) -> PairPosition | None:
+        """Cell ``c``'s open position, or None when it is flat."""
+        if not self._open[c]:
+            return None
+        return PairPosition(
+            int(self._entry_s[c]), int(self._long_leg[c]), int(self._n_long[c]),
+            int(self._n_short[c]), float(self._entry_long[c]),
+            float(self._entry_short[c]), float(self._entry_spread[c]),
+            float(self._level[c]), 1 if self._rising[c] else -1,
+        )
+
+    def entry(self, c: int) -> tuple[int, int, int]:
+        """``(long leg, long shares, short shares)`` of cell ``c``'s position."""
+        return int(self._long_leg[c]), int(self._n_long[c]), int(self._n_short[c])
+
+    def set_position(self, c: int, position: PairPosition) -> None:
+        """Open ``position`` in cell ``c`` (the inverse of :meth:`position`)."""
+        p = position
+        self._store(
+            c, p.entry_s, p.long_leg, p.n_long, p.n_short, p.entry_price_long,
+            p.entry_price_short, p.entry_spread, p.retracement_level,
+            p.retracement_direction,
+        )
+
+    def _store(
+        self, c, entry_s, long_leg, n_long, n_short, p_long, p_short, spread,
+        level, direction,
     ) -> None:
-        """Check the interval is the next one and store its inputs."""
+        """Write an open position into cell ``c``'s columns."""
+        cols = (self._col0[c], self._col1[c])
+        self._open[c] = True
+        self._entry_s[c] = entry_s
+        self._held[c] = entry_s + self.grid[c % len(self.grid)].hp
+        self._long_leg[c] = long_leg
+        self._long_col[c], self._short_col[c] = cols[long_leg], cols[1 - long_leg]
+        self._n_long[c], self._n_short[c] = n_long, n_short
+        self._entry_long[c], self._entry_short[c] = p_long, p_short
+        self._entry_spread[c] = spread
+        self._level[c] = level
+        self._rising[c] = direction > 0
+
+    def _record(self, s: int, closes, corr_row) -> np.ndarray:
+        """Check ``s`` is the next interval and every leg is positive and
+        finite, then store its closes and correlations (a refused interval
+        leaves the bank as it was); returns the legs' closes."""
         if s != self._s:
             raise ValueError(f"expected interval {self._s}, got {s}")
         if s >= self.smax:
             raise ValueError(f"interval {s} beyond smax={self.smax}")
-        # run_pair_day's check on two scalars (false for NaN).
-        if not (0.0 < price_0 < math.inf and 0.0 < price_1 < math.inf):
+        row = np.asarray(closes, dtype=float)[self._symbols]
+        if not ((row > 0.0) & (row < math.inf)).all():  # false for NaN
             raise ValueError("prices must be positive and finite")
-        self._prices[s] = (price_0, price_1)
-        self._corr[s] = corr_s
-        self._s += 1
+        self._prices[s] = row
+        self._spread[:, s] = row[self._leg0] - row[self._leg1]
+        valid = np.isfinite(corr_row)
+        np.add(self._csum[s], np.where(valid, corr_row, 0.0), out=self._csum[s + 1])
+        np.add(self._count[s], valid, out=self._count[s + 1])
+        self._s = s + 1
+        return row
 
-    def step(self, s: int, price_0: float, price_1: float, corr_s: float) -> Trade | None:
-        """Advance one interval; returns a trade if one closed at ``s``.
+    def step(self, s: int, closes, corr_row) -> list[tuple[int, Trade | None]]:
+        """Advance every cell through interval ``s``.
 
-        ``corr_s`` may be NaN during warm-up (``s < M``).
+        ``closes`` is the interval's close row, indexed by the pairs'
+        columns; ``corr_row`` has one correlation per pair, NaN where
+        there is none (warm-up, stale).  Returns ``(cell, trade)`` for each
+        cell that closed a position and ``(cell, None)`` for each that
+        opened one, in cell order (a cell never does both at one ``s``).
         """
-        self._record(s, price_0, price_1, corr_s)
+        corr_row = np.asarray(corr_row, dtype=float)
+        row = self._record(s, closes, corr_row)
+        pair, w, csum, count = self._pair, self._w, self._csum, self._count
+        lo = np.maximum(s + 1 - w, 0)  # a clipped window is never full
+        full = count[s + 1, pair] - count[lo, pair] == w
+        c_bar = np.where(full, (csum[s + 1, pair] - csum[lo, pair]) / w, np.nan)
+        corr = corr_row[pair]
+        diverged = corr < c_bar * self._band
+        # Freshness: the diverged run before s is shorter than Y.
+        enter = np.flatnonzero(
+            ~self._open & diverged & (c_bar > self._a) & (self._run < self._y)
+            & (s >= self._first_entry) & (s <= self._last_entry)
+        ).tolist()
+        self._run = np.where(diverged, self._run + 1, 0)
+        events = self._exit(s, row, corr, c_bar) if self._open.any() else []
+        events += self._enter(s, enter, row)
+        return sorted(events, key=lambda event: event[0])
 
-        params = self.params
-        if s < params.first_active_interval:
-            return None
-
-        closed: Trade | None = None
-        if self._position is not None:
-            reason = _close_reason(
-                self._position, s, self.smax, self._prices,
-                price_0 - price_1, self._corr[s], self._c_bar(s), params,
+    def _exit(self, s, row, corr, c_bar) -> list[tuple[int, Trade]]:
+        """The exit rules in priority order — retracement, holding period,
+        stop loss, correlation reversion, end of day — over the open cells."""
+        spread = self._spread[self._pair, s]
+        retraced = np.where(self._rising, spread >= self._level, spread <= self._level)
+        held = s >= self._held
+        e_long, e_short = self._entry_long, self._entry_short
+        n_long, n_short = self._n_long, self._n_short
+        ret = (
+            (row[self._long_col] - e_long) * n_long
+            + (e_short - row[self._short_col]) * n_short
+        ) / (e_long * n_long + e_short * n_short)
+        stopped = ret <= self._stop
+        reverted = self._reversion & (c_bar * self._band <= corr) & (corr < c_bar)
+        last = s == self.smax - 1
+        closing = self._open & (retraced | held | stopped | reverted | last)
+        events = []
+        for c in np.flatnonzero(closing).tolist():
+            reason = (
+                TradeReason.RETRACEMENT if retraced[c]
+                else TradeReason.MAX_HOLDING if held[c]
+                else TradeReason.STOP_LOSS if stopped[c]
+                else TradeReason.CORR_REVERSION if reverted[c]
+                else TradeReason.END_OF_DAY
             )
-            if reason is not None:
-                closed = _close(
-                    self._position, s, self._prices, reason, self.execution
+            events.append((c, self._close(c, s, row, reason)))
+        return events
+
+    def flatten(self, s: int, closes) -> list[tuple[int, Trade | None]]:
+        """Degraded-mode step: record ``s`` with NaN correlation, open
+        nothing and close every open cell (reason ``DEGRADED``).  NaN is
+        never diverged, so every diverged run restarts."""
+        row = self._record(s, closes, np.full(len(self.pairs), np.nan))
+        self._run[:] = 0
+        return [
+            (c, self._close(c, s, row, TradeReason.DEGRADED))
+            for c in self.open_cells()
+        ]
+
+    def _enter(
+        self, s: int, cells: list[int], row: np.ndarray
+    ) -> list[tuple[int, None]]:
+        """Steps 3–5 per entering cell: long the under-performer (the leg
+        with the lower W-period return), size, set the retracement."""
+        n_sets, windows = len(self.grid), {}
+        for c in cells:
+            params, p = self.grid[c % n_sets], c // n_sets
+            i0, i1 = self._col0[c], self._col1[c]
+            a0, a1 = float(row[i0]), float(row[i1])
+            back = self._prices[s - params.w]
+            if a0 / back[i0] - 1.0 <= a1 / back[i1] - 1.0:
+                long_leg, p_long, p_short = 0, a0, a1
+            else:
+                long_leg, p_long, p_short = 1, a1, a0
+            stats = windows.get((p, params.rt))
+            if stats is None:  # the sets of a pair often enter together
+                window = self._spread[p, s - params.rt + 1 : s + 1]
+                stats = windows[(p, params.rt)] = (
+                    float(window.min()), float(window.max()), float(window.mean())
                 )
-                self._trades.append(closed)
-                self._position = None
-                return closed
-
-        if (
-            self._position is None
-            and (self.smax - 1 - s) >= params.st
-            and self._signal(s)
-            and (
-                self.execution is None
-                or self.execution.entry_fills(s, self.salt)
+            spread = float(self._spread[p, s])
+            self._store(
+                c, s, long_leg, *shares_unchecked(p_long, p_short), p_long,
+                p_short, spread, *level_unchecked(*stats, spread, params.l),
             )
-        ):
-            p = self._prices
-            rt = p[s - params.rt + 1 : s + 1]
-            self._position = _open_position(
-                s, p[s], p[s] / p[s - params.w] - 1.0, rt[:, 0] - rt[:, 1],
-                params,
-            )
-        return closed
+        return [(c, None) for c in cells]
 
-    def flatten(
-        self, s: int, price_0: float, price_1: float
-    ) -> Trade | None:
-        """Degraded-mode step: record the interval, never open, close any
-        open position (reason ``DEGRADED``).
-
-        Used by the pipeline's :class:`~repro.faults.policy.DegradePolicy`
-        when the correlation input for ``s`` is stale: the correlation
-        sample is recorded as NaN (a stale value is not evidence), which
-        also keeps the entry signal suppressed for the next ``w``
-        intervals — re-entry requires a full window of fresh data.
-        """
-        self._record(s, price_0, price_1, float("nan"))
-        if self._position is None:
-            return None
-        closed = _close(
-            self._position, s, self._prices, TradeReason.DEGRADED,
-            self.execution,
+    def _close(self, c: int, s: int, row: np.ndarray, reason: TradeReason) -> Trade:
+        """Step 6: cell ``c``'s trade at ``s``; the cell goes flat."""
+        n_long, n_short = int(self._n_long[c]), int(self._n_short[c])
+        ret = return_unchecked(
+            float(self._entry_long[c]), n_long, float(self._entry_short[c]),
+            n_short, float(row[self._long_col[c]]), float(row[self._short_col[c]]),
         )
-        self._trades.append(closed)
-        self._position = None
-        return closed
-
-    # -- streaming forms of divergence_signals' c_bar and signal ----------
-
-    def _c_bar(self, s: int) -> float:
-        window = self._corr[s - self.params.w + 1 : s + 1]
-        if np.all(np.isfinite(window)):
-            return float(window.mean())
-        return float("nan")
-
-    def _diverged(self, s: int) -> bool:
-        c_bar = self._c_bar(s)
-        if not np.isfinite(c_bar):
-            return False
-        return bool(self._corr[s] < c_bar * (1.0 - self.params.d))
-
-    def _signal(self, s: int) -> bool:
-        params = self.params
-        c_bar = self._c_bar(s)
-        if not np.isfinite(c_bar) or not c_bar > params.a:
-            return False
-        if not self._diverged(s):
-            return False
-        if s < params.y:
-            return False
-        return not all(self._diverged(sigma) for sigma in range(s - params.y, s))
+        self._open[c] = False
+        return Trade(
+            int(self._entry_s[c]), s, ret, reason, int(self._long_leg[c]),
+            n_long, n_short,
+        )

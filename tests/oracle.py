@@ -1,7 +1,11 @@
 """Frozen reference implementations the production kernels are tested against.
 
 The per-window correlation oracle comes first; :class:`PerQuoteBarAccumulator`
-(the bar accumulator as it stood before the one-kernel form) and
+(the bar accumulator as it stood before the one-kernel form), the streaming
+strategy :class:`PairStrategy` with its entry, exit and close helpers (one
+Python object per (pair, parameter set) cell, as the pipeline stepped them
+before :class:`~repro.strategy.engine.CellBank`), :class:`PerCellStepLoop`
+(the pipeline component's loop over those objects) and
 :func:`frozen_run_pair_day` (the strategy's per-interval loop as it stood
 before the event-driven day-block scan) are at the end.
 
@@ -13,6 +17,8 @@ per-window scalar form in the tree (the rolling cumsum identity *is* the
 definition), so it delegates to :func:`repro.corr.pearson.pearson_series`.
 """
 
+import math
+
 import numpy as np
 
 from repro.bars.accumulator import OHLC_DTYPE
@@ -21,8 +27,17 @@ from repro.corr.combined import combined_corr_batched
 from repro.corr.maronna import MaronnaConfig, maronna_corr_batched
 from repro.corr.measures import CorrelationType, all_pairs
 from repro.corr.pearson import pearson_series
-from repro.strategy.engine import _close, _close_reason, _open_position
-from repro.strategy.positions import PairPosition
+from repro.faults.policy import StaleCorr
+from repro.strategy.costs import ExecutionModel
+from repro.strategy.engine import Trade, TradeReason
+from repro.strategy.params import StrategyParams
+from repro.strategy.portfolio import OrderRequest
+from repro.strategy.positions import (
+    PairPosition,
+    cash_neutral_shares,
+    position_return,
+)
+from repro.strategy.retracement import retracement_level
 from repro.strategy.signals import divergence_signals
 
 
@@ -197,6 +212,243 @@ class PerQuoteBarAccumulator:
         return self.close()
 
 
+# -- the streaming strategy, frozen -------------------------------------------
+# ``PairStrategy`` and its three helpers as they stood in
+# ``repro.strategy.engine`` before the pipeline moved onto ``CellBank``,
+# copied verbatim.  ``frozen_run_pair_day`` shares the helpers.
+
+
+def _open_position(
+    s: int,
+    price_s: np.ndarray,
+    perf_s: np.ndarray,
+    spread_rt: np.ndarray,
+    params: StrategyParams,
+) -> PairPosition:
+    """Steps 3–5: choose legs, size the trade, set the retracement target.
+
+    Takes interval ``s``'s own rows: the two legs' prices, their W-period
+    returns and the trailing ``RT`` spreads ending at ``s``.
+    """
+    # Long the under-performer: the leg with the lower W-period return.
+    long_leg = 0 if perf_s[0] <= perf_s[1] else 1
+    short_leg = 1 - long_leg
+    p_long = float(price_s[long_leg])
+    p_short = float(price_s[short_leg])
+    n_long, n_short = cash_neutral_shares(p_long, p_short)
+    spread_s = float(spread_rt[-1])
+    level = retracement_level(spread_rt, spread_s, params.l)
+    return PairPosition(
+        entry_s=s,
+        long_leg=long_leg,
+        n_long=n_long,
+        n_short=n_short,
+        entry_price_long=p_long,
+        entry_price_short=p_short,
+        entry_spread=spread_s,
+        retracement_level=level.level,
+        retracement_direction=level.direction,
+    )
+
+
+def _close_reason(
+    position: PairPosition,
+    s: int,
+    smax: int,
+    prices: np.ndarray,
+    spread_s: float,
+    corr_s: float,
+    c_bar_s: float,
+    params: StrategyParams,
+) -> TradeReason | None:
+    """Exit rules in priority order: retracement, HP, extensions, EOD.
+
+    The streaming state machine's exit rule (:meth:`DayBlock.scan` applies
+    the same rules in the same order); ``spread_s``, ``corr_s`` and
+    ``c_bar_s`` are the interval's scalars.
+    """
+    if position.retracement_hit(float(spread_s)):
+        return TradeReason.RETRACEMENT
+    if s - position.entry_s >= params.hp:
+        return TradeReason.MAX_HOLDING
+    if params.stop_loss is not None:
+        p_long = float(prices[s, position.long_leg])
+        p_short = float(prices[s, 1 - position.long_leg])
+        if position_return(position, p_long, p_short) <= -params.stop_loss:
+            return TradeReason.STOP_LOSS
+    if params.correlation_reversion and np.isfinite(c_bar_s):
+        if c_bar_s * (1.0 - params.d) <= corr_s < c_bar_s:
+            return TradeReason.CORR_REVERSION
+    if s == smax - 1:
+        return TradeReason.END_OF_DAY
+    return None
+
+
+def _close(
+    position: PairPosition,
+    s: int,
+    prices: np.ndarray,
+    reason: TradeReason,
+    execution: ExecutionModel | None = None,
+) -> Trade:
+    p_long = float(prices[s, position.long_leg])
+    p_short = float(prices[s, 1 - position.long_leg])
+    ret = position_return(position, p_long, p_short)
+    if execution is not None:
+        ret = execution.net_return(ret, position, p_long, p_short)
+    return Trade(
+        entry_s=position.entry_s,
+        exit_s=s,
+        ret=ret,
+        reason=reason,
+        long_leg=position.long_leg,
+        n_long=position.n_long,
+        n_short=position.n_short,
+    )
+
+
+class PairStrategy:
+    """Streaming form of the strategy for pipeline use.
+
+    Feed intervals in order with :meth:`step`; each call may emit a
+    completed :class:`Trade`.  Produces exactly the trades of
+    :func:`run_pair_day` over the same inputs.
+    """
+
+    def __init__(
+        self,
+        params: StrategyParams,
+        smax: int,
+        execution: ExecutionModel | None = None,
+        salt: int = 0,
+    ):
+        if smax <= 0:
+            raise ValueError(f"smax must be positive, got {smax}")
+        self.params = params
+        self.smax = smax
+        self.execution = execution
+        self.salt = salt
+        self._s = 0
+        self._prices = np.full((smax, 2), np.nan)
+        self._corr = np.full(smax, np.nan)
+        self._position: PairPosition | None = None
+        self._trades: list[Trade] = []
+
+    @property
+    def trades(self) -> list[Trade]:
+        """Completed trades so far."""
+        return list(self._trades)
+
+    @property
+    def open_position(self) -> PairPosition | None:
+        return self._position
+
+    def _record(
+        self, s: int, price_0: float, price_1: float, corr_s: float
+    ) -> None:
+        """Check the interval is the next one and store its inputs."""
+        if s != self._s:
+            raise ValueError(f"expected interval {self._s}, got {s}")
+        if s >= self.smax:
+            raise ValueError(f"interval {s} beyond smax={self.smax}")
+        # run_pair_day's check on two scalars (false for NaN).
+        if not (0.0 < price_0 < math.inf and 0.0 < price_1 < math.inf):
+            raise ValueError("prices must be positive and finite")
+        self._prices[s] = (price_0, price_1)
+        self._corr[s] = corr_s
+        self._s += 1
+
+    def step(self, s: int, price_0: float, price_1: float, corr_s: float) -> Trade | None:
+        """Advance one interval; returns a trade if one closed at ``s``.
+
+        ``corr_s`` may be NaN during warm-up (``s < M``).
+        """
+        self._record(s, price_0, price_1, corr_s)
+
+        params = self.params
+        if s < params.first_active_interval:
+            return None
+
+        closed: Trade | None = None
+        if self._position is not None:
+            reason = _close_reason(
+                self._position, s, self.smax, self._prices,
+                price_0 - price_1, self._corr[s], self._c_bar(s), params,
+            )
+            if reason is not None:
+                closed = _close(
+                    self._position, s, self._prices, reason, self.execution
+                )
+                self._trades.append(closed)
+                self._position = None
+                return closed
+
+        if (
+            self._position is None
+            and (self.smax - 1 - s) >= params.st
+            and self._signal(s)
+            and (
+                self.execution is None
+                or self.execution.entry_fills(s, self.salt)
+            )
+        ):
+            p = self._prices
+            rt = p[s - params.rt + 1 : s + 1]
+            self._position = _open_position(
+                s, p[s], p[s] / p[s - params.w] - 1.0, rt[:, 0] - rt[:, 1],
+                params,
+            )
+        return closed
+
+    def flatten(
+        self, s: int, price_0: float, price_1: float
+    ) -> Trade | None:
+        """Degraded-mode step: record the interval, never open, close any
+        open position (reason ``DEGRADED``).
+
+        Used by the pipeline's :class:`~repro.faults.policy.DegradePolicy`
+        when the correlation input for ``s`` is stale: the correlation
+        sample is recorded as NaN (a stale value is not evidence), which
+        also keeps the entry signal suppressed for the next ``w``
+        intervals — re-entry requires a full window of fresh data.
+        """
+        self._record(s, price_0, price_1, float("nan"))
+        if self._position is None:
+            return None
+        closed = _close(
+            self._position, s, self._prices, TradeReason.DEGRADED,
+            self.execution,
+        )
+        self._trades.append(closed)
+        self._position = None
+        return closed
+
+    # -- streaming forms of divergence_signals' c_bar and signal ----------
+
+    def _c_bar(self, s: int) -> float:
+        window = self._corr[s - self.params.w + 1 : s + 1]
+        if np.all(np.isfinite(window)):
+            return float(window.mean())
+        return float("nan")
+
+    def _diverged(self, s: int) -> bool:
+        c_bar = self._c_bar(s)
+        if not np.isfinite(c_bar):
+            return False
+        return bool(self._corr[s] < c_bar * (1.0 - self.params.d))
+
+    def _signal(self, s: int) -> bool:
+        params = self.params
+        c_bar = self._c_bar(s)
+        if not np.isfinite(c_bar) or not c_bar > params.a:
+            return False
+        if not self._diverged(s):
+            return False
+        if s < params.y:
+            return False
+        return not all(self._diverged(sigma) for sigma in range(s - params.y, s))
+
+
 def frozen_run_pair_day(prices, corr, params, execution=None, salt=0):
     """The strategy's frozen definition: the body of ``run_pair_day`` as
     it stood at commit ee784eb, one Python step per interval, with its
@@ -246,3 +498,96 @@ def frozen_run_pair_day(prices, corr, params, execution=None, salt=0):
                 params,
             )
     return trades
+
+
+class PerCellStepLoop:
+    """The Figure-1 strategy component's interval loop as it stood before
+    :class:`~repro.strategy.engine.CellBank`: one :class:`PairStrategy` per
+    (pair, parameter set) cell, stepped pair-major, emitting through
+    ``ctx`` what ``PairTradingComponent._step_all`` emitted (its body and
+    order helpers copied verbatim; the component's interval bookkeeping
+    — NaN head, stream alignment — is left to the caller).  Build it at
+    the head interval: ``s_local`` counts from there."""
+
+    def __init__(self, pairs, grid, local_smax, degrade=None, param_indices=None):
+        self.pairs = [tuple(sorted(p)) for p in pairs]
+        self.grid = list(grid)
+        self.degrade = degrade
+        self.param_indices = param_indices
+        self._strategies = {}
+        self._trades = {}
+        self._orders_emitted = 0
+        for pair in self.pairs:
+            for k in range(len(self.grid)):
+                self._strategies[(pair, k)] = PairStrategy(self.grid[k], local_smax)
+                self._trades[(pair, k)] = []
+
+    def step_all(self, ctx, s, s_local, closes, corr) -> None:
+        """One interval; ``corr`` as the component receives it (a matrix,
+        a dict of pair blocks, a ``StaleCorr`` or None)."""
+        stale = isinstance(corr, StaleCorr)
+        flatten = stale and self.degrade is not None and self.degrade.flatten
+        for pair in self.pairs:
+            i, j = pair
+            if corr is None or stale:
+                # Degraded (or warm-up) interval: NaN correlation blocks
+                # the entry signal by construction.
+                c = math.nan
+            elif isinstance(corr, dict):
+                c = float(corr[pair])
+            else:
+                c = float(corr[i, j])
+            for k in range(len(self.grid)):
+                strat = self._strategies[(pair, k)]
+                before = strat.open_position
+                if flatten:
+                    trade = strat.flatten(
+                        s_local, float(closes[i]), float(closes[j])
+                    )
+                else:
+                    trade = strat.step(
+                        s_local, float(closes[i]), float(closes[j]), c
+                    )
+                after = strat.open_position
+                # Emit under the study-global parameter index so order
+                # sinks shared by several spec strategies never collide.
+                k_out = self.param_indices[k] if self.param_indices else k
+                if trade is not None:
+                    self._trades[(pair, k)].append(trade)
+                    ctx.emit("trades", (pair, k_out, trade))
+                    self._emit_close_orders(ctx, s, pair, k_out, trade, closes)
+                if before is None and after is not None:
+                    self._emit_open_orders(ctx, s, pair, k_out, after, closes)
+
+    def _emit_open_orders(self, ctx, s, pair, k, position, closes) -> None:
+        i, j = pair
+        long_sym = pair[position.long_leg]
+        short_sym = pair[1 - position.long_leg]
+        legs = (
+            OrderRequest(
+                s=s, symbol=long_sym, shares=position.n_long,
+                price=float(closes[long_sym]), pair=pair, param_index=k,
+            ),
+            OrderRequest(
+                s=s, symbol=short_sym, shares=-position.n_short,
+                price=float(closes[short_sym]), pair=pair, param_index=k,
+            ),
+        )
+        ctx.emit("orders", ("entry", legs))
+        self._orders_emitted += 2
+
+    def _emit_close_orders(self, ctx, s, pair, k, trade, closes) -> None:
+        long_sym = pair[trade.long_leg]
+        short_sym = pair[1 - trade.long_leg]
+        legs = (
+            OrderRequest(
+                s=s, symbol=long_sym, shares=-trade.n_long,
+                price=float(closes[long_sym]), pair=pair, param_index=k,
+            ),
+            OrderRequest(
+                s=s, symbol=short_sym, shares=trade.n_short,
+                price=float(closes[short_sym]), pair=pair, param_index=k,
+            ),
+        )
+        ctx.emit("orders", ("exit", legs))
+        self._orders_emitted += 2

@@ -276,3 +276,47 @@ class TestRealRepo:
         diags = [d for d in check_state(index) if target in str(d.location)]
         assert "state.snapshot-missing" in rules(diags)
         assert "state.key-unknown" in rules(diags)
+
+
+class TestSelfCopyingState:
+    """An attribute built from an indexed class that defines ``copy()``
+    (the strategy's cell bank) is live state like a container."""
+
+    BANK = '''
+class Bank:
+    def __init__(self):
+        self.rows = None
+    def step(self, x):
+        self.rows = x
+    def copy(self):
+        return Bank()
+
+class Banked(Component):
+    def __init__(self):
+        super().__init__("banked", input_ports=("in",))
+        self._bank = None
+    def on_message(self, ctx, port, payload):
+        if self._bank is None:
+            self._bank = Bank()
+        self._bank.step(payload)
+'''
+
+    def test_bare_reference_flagged_both_ways(self):
+        diags = analyze(self.BANK + '''
+    def snapshot(self):
+        return {"bank": self._bank}
+    def restore(self, state):
+        self._bank = state["bank"]
+''')
+        alias = [d for d in diags if d.rule == "state.live-alias"]
+        assert len(alias) == 2
+
+    def test_copies_absolve(self):
+        diags = analyze(self.BANK + '''
+    def snapshot(self):
+        return {"bank": None if self._bank is None else self._bank.copy()}
+    def restore(self, state):
+        bank = state["bank"]
+        self._bank = None if bank is None else bank.copy()
+''')
+        assert diags == []

@@ -351,6 +351,19 @@ class TestCorrelationDegraded:
         assert "stale_served" not in comp.result()
 
 
+class CheckpointedCell:
+    """The open position of the component's one cell, read through its
+    public checkpoint seam."""
+
+    def __init__(self, comp):
+        self.comp = comp
+
+    @property
+    def open_position(self):
+        rows, _ = PairTradingComponent.checkpoint_positions(self.comp.snapshot())
+        return rows[0] if rows else None
+
+
 class TestStrategyDegraded:
     def make(self, degrade):
         comp = PairTradingComponent(
@@ -362,15 +375,17 @@ class TestStrategyDegraded:
         ctx = collecting_context(comp.name, sink, obs)
         # Establish the head interval; strategies exist afterwards.
         comp.on_message(ctx, "closes", (0, np.array([100.0, 99.0])))
-        # Force an open position (entry signals need a long warm-up).
-        strat = comp._strategies[((0, 1), 0)]
-        strat._position = PairPosition(
+        # Plant an open position through the checkpoint (entry signals
+        # need a long warm-up).
+        state = comp.snapshot()
+        state["bank"].set_position(0, PairPosition(
             entry_s=0, long_leg=0, n_long=1, n_short=1,
             entry_price_long=100.0, entry_price_short=99.0,
             entry_spread=1.0, retracement_level=1e9,
             retracement_direction=1,
-        )
-        return comp, strat, sink, ctx
+        ))
+        comp.restore(state)
+        return comp, CheckpointedCell(comp), sink, ctx
 
     def test_flatten_closes_open_position_as_degraded(self):
         comp, strat, sink, ctx = self.make(DegradePolicy(flatten=True))

@@ -264,15 +264,32 @@ class TestAudit:
 
 class TestQueries:
     def test_positions_and_signals_read_checkpoints(self, manager):
-        manager.submit("q", "figure1", FIG1_SPEC, "alice")
+        from repro.marketminer.session import run_figure1_session
+
+        manager.submit(
+            "q", "figure1", {**FIG1_SPEC, "checkpoint_every": 10}, "alice"
+        )
         final = wait_terminal(manager, "q")
         assert final["state"] == "done", final["error"]
         session = manager.get("q")
         positions = session.positions()
-        assert positions["epoch"] == 0
+        assert positions["epoch"] == 2
         assert positions["trades"] >= 0
+        assert len(positions["positions"]) == 4
+        # Each checkpointed open row is the entry of a trade its cell
+        # completes later in the (deterministic) session.
+        trades = run_figure1_session(session._build_workflow(), size=2)[
+            "pair_trading"
+        ]["trades"]
         for row in positions["positions"]:
             assert len(row["pair"]) == 2 and row["n_long"] > 0
+            (trade,) = [
+                t for t in trades[(tuple(row["pair"]), row["param_set"])]
+                if t.entry_s == row["entry_s"]
+            ]
+            assert (trade.long_leg, trade.n_long, trade.n_short) == (
+                row["long_leg"], row["n_long"], row["n_short"]
+            )
         signals = session.signals(limit=3)
         assert len(signals["signals"]) <= 3
         for row in signals["signals"]:

@@ -177,7 +177,8 @@ class TestEngineIntegration:
         assert sparse == []
 
     def test_streaming_equivalence_with_execution(self):
-        from repro.strategy.engine import PairStrategy, run_pair_day
+        from repro.strategy.engine import run_pair_day
+        from tests.oracle import PairStrategy
 
         prices, corr, params = self._scenario()
         model = ExecutionModel(

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from repro.corr.batch import corr_series
 from repro.strategy.engine import (
-    PairStrategy,
     Trade,
     TradeReason,
     align_corr_series,
     run_pair_day,
 )
 from repro.strategy.params import StrategyParams
+from tests.oracle import PairStrategy
 
 # Small windows so scenarios stay readable: active from s = 14.
 PARAMS = StrategyParams(m=10, w=5, y=3, rt=8, hp=6, st=4, d=0.01, a=0.1)
