@@ -45,8 +45,10 @@ from repro.taq.universe import default_universe
 from repro.util.timeutil import TimeGrid
 
 #: Long enough for several sampler ticks: the session streams (the feed
-#: has a rank of its own), so it ends about when the feed does.
-SECONDS = 6000
+#: has a rank of its own), so it ends about when the feed does.  A full
+#: day takes ≈0.18 s on a 2-core host; a shorter one can end inside the
+#: first 50 ms tick, which leaves the sampler gate vacuous.
+SECONDS = 23_400
 ROUNDS = 4000
 #: A 2-rank thread session's wall is bimodal on a 2-core host (fast runs
 #: ~30 % quicker than slow ones), so each side needs enough runs for its

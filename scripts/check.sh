@@ -26,6 +26,9 @@ run_and_match() {
 echo "== compileall =="
 python -m compileall -q src
 
+echo "== native kernels build (gcc -O2 -ffp-contract=off) =="
+python -c "import repro.clean.filters as f; print(f._KERNEL._name)"
+
 echo "== repro lint (graph spec + source rules, one pass, 10 s budget) =="
 timeout 10 python -m repro.cli lint --strict --root src/repro
 

@@ -527,7 +527,7 @@ def mutable_attrs(index: ModuleIndex, cls: ClassInfo) -> set[str]:
                 if attr is not None and is_mutable_ctor(node.value):
                     out.add(attr)
     for name, (fn, _owner) in methods.items():
-        if name in ("__init__", "restore"):
+        if name == "restore":
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
@@ -537,7 +537,7 @@ def mutable_attrs(index: ModuleIndex, cls: ClassInfo) -> set[str]:
                 )
                 if built is not None and "copy" in built.methods:
                     out.update(filter(None, map(is_self_attr, node.targets)))
-            if isinstance(node, ast.Call):
+            if name != "__init__" and isinstance(node, ast.Call):
                 func = node.func
                 if (
                     isinstance(func, ast.Attribute)

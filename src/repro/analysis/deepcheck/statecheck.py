@@ -31,6 +31,7 @@ recovery.  A class with no ``snapshot()`` gets no further checks.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 
 from repro.analysis.diagnostics import Diagnostic, Finding, Severity
 from repro.analysis.deepcheck.core import (
@@ -135,7 +136,9 @@ def _restore_key_reads(fn: ast.FunctionDef) -> set[str]:
 def _restore_alias_assigns(
     fn: ast.FunctionDef, mutable: set[str]
 ) -> list[tuple[str, int]]:
-    """``self.x = state[...]`` (bare, uncopied) for mutable x."""
+    """``self.x = state[...]`` (bare, uncopied) for mutable x — directly
+    or through a local bound only to ``state[...]``/``state.get(...)``
+    (``v = state["k"]; self.x = v``)."""
     param = _state_param(fn)
     if param is None:
         return []
@@ -157,14 +160,35 @@ def _restore_alias_assigns(
             return True
         return False
 
+    # A local is the state's object if every binding of it is
+    # ``v = state[...]`` (``v = v.copy()`` anywhere absolves it).
+    from_state = Counter(
+        target.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Assign) and is_state_ref(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    )
+    stores = Counter(
+        node.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    )
+    aliases = {name for name, n in from_state.items() if stores[name] == n}
+
     out = []
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 attr = is_self_attr(target)
-                if attr is not None and attr in mutable:
-                    if is_state_ref(node.value):
-                        out.append((attr, node.lineno))
+                if attr is not None and attr in mutable and (
+                    is_state_ref(node.value)
+                    or (
+                        isinstance(node.value, ast.Name)
+                        and node.value.id in aliases
+                    )
+                ):
+                    out.append((attr, node.lineno))
     return out
 
 

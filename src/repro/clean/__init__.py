@@ -8,6 +8,6 @@ from their corresponding moving average and deviation", leaving residual
 outliers to be down-weighted by the robust correlation measure.
 """
 
-from repro.clean.filters import CleaningStats, TcpLikeFilter, clean_quotes
+from repro.clean.filters import CleaningStats, FilterBank, clean_quotes
 
-__all__ = ["CleaningStats", "TcpLikeFilter", "clean_quotes"]
+__all__ = ["CleaningStats", "FilterBank", "clean_quotes"]

@@ -11,17 +11,43 @@ the estimates, so a burst of garbage cannot drag the filter along with it.
 :func:`clean_quotes` runs it over a day with a fresh bank, the pipeline's
 ``CleaningComponent`` over each interval with a bank that persists, and
 ``repro.taq.quality.quality_report`` reads per-symbol rejections off its
-mask, so what the batch and the stream keep cannot differ.
+mask, so what the batch and the stream keep cannot differ.  The filter is
+a per-symbol recurrence with rejection, which numpy cannot vectorise
+along time, so the per-quote loop is C (``tcp_filter.c`` beside this
+module, built on import by :mod:`repro.util.native`) over a
+:class:`FilterBank`'s arrays.
 """
 
 from __future__ import annotations
 
+import copy
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro.taq.types import validate_quote_array
+from repro.util import native
 from repro.util.validation import check_positive, check_positive_int
+
+
+def _array(dtype, writable=False):
+    """A 1-D C-contiguous array argument; ctypes checks it on every call."""
+    return np.ctypeslib.ndpointer(dtype, ndim=1, flags="C,W" if writable else "C")
+
+
+_KERNEL = native.load(Path(__file__).with_name("tcp_filter.c"))
+_KERNEL.tcp_filter.restype = ctypes.c_int64
+_KERNEL.tcp_filter.argtypes = [
+    ctypes.c_int64,  # n
+    _array(np.float64), _array(np.bool_), _array(np.int32),  # bam, crossed, symbol
+    # avg, dev, seen: the bank's state, updated in place
+    _array(np.float64, True), _array(np.float64, True), _array(np.int64, True),
+    ctypes.c_double, ctypes.c_double, ctypes.c_double,  # alpha, beta, k
+    ctypes.c_int64, ctypes.c_double,  # warmup, min_dev_frac
+    _array(np.bool_, True),  # keep
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,11 +68,13 @@ class CleaningStats:
         return 1.0 if self.total == 0 else self.accepted / self.total
 
 
-class TcpLikeFilter:
-    """Streaming accept/reject filter for one price series.
+class FilterBank:
+    """The TCP-like filter's state for every symbol of a universe, as arrays.
 
-    Parameters
-    ----------
+    ``avg`` is each symbol's smoothed price, ``dev`` its smoothed absolute
+    deviation and ``seen`` the count of ticks it accepted; ``seen == 0``
+    means no average yet.  The parameters are shared by every symbol:
+
     alpha:
         EWMA gain for the smoothed price (TCP uses 1/8 for SRTT).
     beta:
@@ -62,16 +90,21 @@ class TcpLikeFilter:
     min_dev_frac:
         Floor on the deviation as a fraction of the smoothed price, so a
         quiet stretch cannot shrink the acceptance band to zero width.
+
+    The frozen per-symbol definition is ``tests.oracle.TcpLikeFilter``;
+    :func:`filter_quotes` gives its mask and leaves its state, bitwise.
     """
 
     def __init__(
         self,
+        n_symbols: int,
         alpha: float = 0.125,
         beta: float = 0.25,
         k: float = 6.0,
         warmup: int = 20,
         min_dev_frac: float = 1.0e-3,
     ):
+        check_positive_int(n_symbols, "n_symbols")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if not 0.0 < beta <= 1.0:
@@ -84,48 +117,26 @@ class TcpLikeFilter:
         self.k = float(k)
         self.warmup = int(warmup)
         self.min_dev_frac = float(min_dev_frac)
-        self._avg: float | None = None
-        self._dev = 0.0
-        self._seen = 0
+        self.avg = np.zeros(n_symbols)
+        self.dev = np.zeros(n_symbols)
+        self.seen = np.zeros(n_symbols, dtype=np.int64)
 
-    @property
-    def average(self) -> float | None:
-        """Current smoothed price (None before the first tick)."""
-        return self._avg
+    def __len__(self) -> int:
+        return self.seen.size
 
-    @property
-    def deviation(self) -> float:
-        """Current smoothed absolute deviation."""
-        return self._dev
-
-    def update(self, x: float) -> bool:
-        """Feed one price; return True if accepted.
-
-        Accepted prices update the moving estimates; rejected ones do not.
-        """
-        if not np.isfinite(x) or x <= 0.0:
-            return False
-        if self._avg is None:
-            self._avg = x
-            self._dev = abs(x) * self.min_dev_frac
-            self._seen = 1
-            return True
-
-        in_warmup = self._seen < self.warmup
-        band = self.k * max(self._dev, self._avg * self.min_dev_frac)
-        if not in_warmup and abs(x - self._avg) > band:
-            return False
-
-        self._dev = (1.0 - self.beta) * self._dev + self.beta * abs(x - self._avg)
-        self._avg = (1.0 - self.alpha) * self._avg + self.alpha * x
-        self._seen += 1
-        return True
+    def copy(self) -> FilterBank:
+        """An independent bank in the same state."""
+        out = copy.copy(self)
+        out.avg = self.avg.copy()
+        out.dev = self.dev.copy()
+        out.seen = self.seen.copy()
+        return out
 
 
 def filter_quotes(
-    records: np.ndarray, filters: list[TcpLikeFilter]
+    records: np.ndarray, bank: FilterBank
 ) -> tuple[np.ndarray, int, int]:
-    """Run a batch of quotes through a bank of filters, one per symbol.
+    """Run a batch of quotes through a filter bank, one C call.
 
     A quote is dropped if it is crossed (bid >= ask) or if its bid–ask
     midpoint is rejected by its symbol's filter (every uncrossed quote
@@ -134,17 +145,19 @@ def filter_quotes(
     the state, so a day may be fed whole or an interval at a time.
     """
     symbols = records["symbol"]
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= len(filters)):
-        raise ValueError(f"symbol indices must lie in [0, {len(filters)})")
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= len(bank)):
+        raise ValueError(f"symbol indices must lie in [0, {len(bank)})")
     crossed = records["bid"] >= records["ask"]
     bam = 0.5 * (records["bid"] + records["ask"])
-    keep = np.zeros(records.size, dtype=bool)
-    for i in range(records.size):
-        if not crossed[i]:
-            keep[i] = filters[symbols[i]].update(float(bam[i]))
-    rejected_crossed = int(crossed.sum())
-    rejected_outlier = records.size - rejected_crossed - int(keep.sum())
-    return keep, rejected_outlier, rejected_crossed
+    keep = np.empty(records.size, dtype=bool)
+    kept = _KERNEL.tcp_filter(
+        records.size, bam, crossed, np.ascontiguousarray(symbols, np.int32),
+        bank.avg, bank.dev, bank.seen,
+        bank.alpha, bank.beta, bank.k, bank.warmup, bank.min_dev_frac,
+        keep,
+    )
+    rejected_crossed = int(np.count_nonzero(crossed))
+    return keep, records.size - rejected_crossed - kept, rejected_crossed
 
 
 def clean_quotes(
@@ -156,19 +169,17 @@ def clean_quotes(
     warmup: int = 20,
     min_dev_frac: float = 1.0e-3,
 ) -> tuple[np.ndarray, CleaningStats]:
-    """Clean a chronological quote array with one fresh filter per symbol.
+    """Clean a chronological quote array with a fresh filter bank.
 
     Returns the quotes :func:`filter_quotes` keeps (original order
     preserved) and the disposition counts.
     """
     validate_quote_array(records, n_symbols=n_symbols)
-    filters = [
-        TcpLikeFilter(
-            alpha=alpha, beta=beta, k=k, warmup=warmup, min_dev_frac=min_dev_frac
-        )
-        for _ in range(n_symbols)
-    ]
-    keep, rejected_outlier, rejected_crossed = filter_quotes(records, filters)
+    bank = FilterBank(
+        n_symbols,
+        alpha=alpha, beta=beta, k=k, warmup=warmup, min_dev_frac=min_dev_frac,
+    )
+    keep, rejected_outlier, rejected_crossed = filter_quotes(records, bank)
     stats = CleaningStats(
         total=int(records.size),
         accepted=int(keep.sum()),

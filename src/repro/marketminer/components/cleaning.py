@@ -4,15 +4,13 @@ Raw data "needs to be cleaned before being analyzed" (paper §III); in the
 pipeline this happens between the adapter and the bar accumulator: each
 interval's batch goes through :func:`~repro.clean.filters.filter_quotes`
 — the loop :func:`~repro.clean.filters.clean_quotes` runs over a day —
-with a bank of filters, one per symbol, that lives as long as the session,
-preserving the per-interval message shape.
+with a :class:`~repro.clean.filters.FilterBank` that lives as long as the
+session, preserving the per-interval message shape.
 """
 
 from __future__ import annotations
 
-import copy
-
-from repro.clean.filters import TcpLikeFilter, filter_quotes
+from repro.clean.filters import FilterBank, filter_quotes
 from repro.marketminer.component import Component, Context
 
 
@@ -34,18 +32,14 @@ class CleaningComponent(Component):
         super().__init__(
             name=name, input_ports=("quotes",), output_ports=("quotes",)
         )
-        if n_symbols <= 0:
-            raise ValueError(f"n_symbols must be positive, got {n_symbols}")
-        self._filters = [
-            TcpLikeFilter(k=k, warmup=warmup) for _ in range(n_symbols)
-        ]
+        self._bank = FilterBank(n_symbols, k=k, warmup=warmup)
         self._total = 0
         self._rejected_outlier = 0
         self._rejected_crossed = 0
 
     def on_message(self, ctx: Context, port: str, payload) -> None:
         s, records = payload
-        keep, outlier, crossed = filter_quotes(records, self._filters)
+        keep, outlier, crossed = filter_quotes(records, self._bank)
         self._total += int(records.size)
         self._rejected_outlier += outlier
         self._rejected_crossed += crossed
@@ -70,14 +64,14 @@ class CleaningComponent(Component):
 
     def snapshot(self) -> dict:
         return {
-            "filters": copy.deepcopy(self._filters),
+            "bank": self._bank.copy(),
             "total": self._total,
             "rejected_outlier": self._rejected_outlier,
             "rejected_crossed": self._rejected_crossed,
         }
 
     def restore(self, state: dict) -> None:
-        self._filters = copy.deepcopy(state["filters"])
+        self._bank = state["bank"].copy()
         self._total = state["total"]
         self._rejected_outlier = state["rejected_outlier"]
         self._rejected_crossed = state["rejected_crossed"]

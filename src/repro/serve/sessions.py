@@ -746,7 +746,9 @@ class SessionManager:
 
         ``resize`` carries its ``target`` pool size and has its own
         rejection ladder: kind must be ``figure1`` (409
-        :class:`CommandUnsupported` — backtest jobs have no rank pool),
+        :class:`CommandUnsupported` — backtest jobs have no rank pool;
+        checked before liveness, so the answer does not depend on
+        whether a short job has already finished),
         target must be an int in ``1..RESIZE_MAX`` (400), and at most
         one resize may be outstanding at a time (409
         :class:`ResizePending` — a second request before the epoch
@@ -757,6 +759,11 @@ class SessionManager:
                 f"unknown command {op!r}; expected one of {list(COMMANDS)}"
             )
         session = self.get(session_id)
+        if op == "resize" and session.kind != "figure1":
+            raise CommandUnsupported(
+                f"session {session_id!r} is a {session.kind} job; only "
+                f"kind 'figure1' runs on a resizable rank pool"
+            )
         if session.state in TERMINAL:
             raise SessionDead(
                 f"session {session_id!r} is {session.state}; "
@@ -764,11 +771,6 @@ class SessionManager:
             )
         arg = None
         if op == "resize":
-            if session.kind != "figure1":
-                raise CommandUnsupported(
-                    f"session {session_id!r} is a {session.kind} job; only "
-                    f"kind 'figure1' runs on a resizable rank pool"
-                )
             if not isinstance(target, int) or isinstance(target, bool):
                 raise BadRequest(
                     "resize requires an integer 'target' pool size "

@@ -95,12 +95,10 @@ def quality_report(
         raise ValueError("session_seconds must be positive")
 
     # Outlier rejections per symbol, read off the standard filter's mask.
-    from repro.clean.filters import TcpLikeFilter, filter_quotes
+    from repro.clean.filters import FilterBank, filter_quotes
 
     crossed_mask = records["bid"] >= records["ask"]
-    keep, _, _ = filter_quotes(
-        records, [TcpLikeFilter() for _ in range(len(universe))]
-    )
+    keep, _, _ = filter_quotes(records, FilterBank(len(universe)))
     rejected_by_symbol = np.bincount(
         records["symbol"][~keep & ~crossed_mask], minlength=len(universe)
     )

@@ -7,7 +7,11 @@ Python object per (pair, parameter set) cell, as the pipeline stepped them
 before :class:`~repro.strategy.engine.CellBank`), :class:`PerCellStepLoop`
 (the pipeline component's loop over those objects) and
 :func:`frozen_run_pair_day` (the strategy's per-interval loop as it stood
-before the event-driven day-block scan) are at the end.
+before the event-driven day-block scan) follow; the cleaning filter
+:class:`TcpLikeFilter` (one Python object per symbol, updated once per
+quote, as every path cleaned before :class:`~repro.clean.filters.FilterBank`
+and its C loop) and :func:`frozen_filter_quotes` (the batch loop over those
+objects) are at the very end.
 
 A reference implementation, deliberately slow and obvious: for the robust
 measures one kernel call per window (batch size 1, i.e. the genuine scalar
@@ -39,6 +43,7 @@ from repro.strategy.positions import (
 )
 from repro.strategy.retracement import retracement_level
 from repro.strategy.signals import divergence_signals
+from repro.util.validation import check_positive, check_positive_int
 
 
 def reference_pair_series(returns, m, ctype="pearson", config=None, pairs=None):
@@ -591,3 +596,97 @@ class PerCellStepLoop:
         )
         ctx.emit("orders", ("exit", legs))
         self._orders_emitted += 2
+
+
+class TcpLikeFilter:
+    """Streaming accept/reject filter for one price series.
+
+    Parameters
+    ----------
+    alpha:
+        EWMA gain for the smoothed price (TCP uses 1/8 for SRTT).
+    beta:
+        EWMA gain for the smoothed absolute deviation (TCP uses 1/4).
+    k:
+        Rejection threshold in smoothed deviations ("a few standard
+        deviations"; default 6 — tuned so genuine diffusion under the
+        EWMA lag never trips the filter while decimal slips, test quotes
+        and far-out limit orders, all ≫ the deviation floor, always do).
+    warmup:
+        Number of initial ticks accepted unconditionally while the
+        estimates form.
+    min_dev_frac:
+        Floor on the deviation as a fraction of the smoothed price, so a
+        quiet stretch cannot shrink the acceptance band to zero width.
+    """
+
+    def __init__(
+        self,
+        alpha: float = 0.125,
+        beta: float = 0.25,
+        k: float = 6.0,
+        warmup: int = 20,
+        min_dev_frac: float = 1.0e-3,
+    ):
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        if not 0.0 < beta <= 1.0:
+            raise ValueError(f"beta must be in (0, 1], got {beta}")
+        check_positive(k, "k")
+        check_positive_int(warmup, "warmup")
+        check_positive(min_dev_frac, "min_dev_frac")
+        self.alpha = float(alpha)
+        self.beta = float(beta)
+        self.k = float(k)
+        self.warmup = int(warmup)
+        self.min_dev_frac = float(min_dev_frac)
+        self._avg: float | None = None
+        self._dev = 0.0
+        self._seen = 0
+
+    @property
+    def average(self) -> float | None:
+        """Current smoothed price (None before the first tick)."""
+        return self._avg
+
+    @property
+    def deviation(self) -> float:
+        """Current smoothed absolute deviation."""
+        return self._dev
+
+    def update(self, x: float) -> bool:
+        """Feed one price; return True if accepted.
+
+        Accepted prices update the moving estimates; rejected ones do not.
+        """
+        if not np.isfinite(x) or x <= 0.0:
+            return False
+        if self._avg is None:
+            self._avg = x
+            self._dev = abs(x) * self.min_dev_frac
+            self._seen = 1
+            return True
+
+        in_warmup = self._seen < self.warmup
+        band = self.k * max(self._dev, self._avg * self.min_dev_frac)
+        if not in_warmup and abs(x - self._avg) > band:
+            return False
+
+        self._dev = (1.0 - self.beta) * self._dev + self.beta * abs(x - self._avg)
+        self._avg = (1.0 - self.alpha) * self._avg + self.alpha * x
+        self._seen += 1
+        return True
+
+
+def frozen_filter_quotes(records, filters):
+    """The keep mask of ``records`` through one :class:`TcpLikeFilter` per
+    symbol, quote by quote: crossed quotes (bid >= ask) are dropped and
+    every other bid–ask midpoint meets its symbol's filter."""
+    crossed = records["bid"] >= records["ask"]
+    bam = 0.5 * (records["bid"] + records["ask"])
+    symbols = records["symbol"]
+    keep = np.zeros(records.size, dtype=bool)
+    for i in range(records.size):
+        if not crossed[i]:
+            keep[i] = filters[symbols[i]].update(float(bam[i]))
+    return keep

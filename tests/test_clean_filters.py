@@ -3,70 +3,77 @@
 import numpy as np
 import pytest
 
-from repro.clean.filters import CleaningStats, TcpLikeFilter, clean_quotes
+from repro.clean.filters import (
+    CleaningStats,
+    FilterBank,
+    clean_quotes,
+    filter_quotes,
+)
 from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
 from repro.taq.types import QUOTE_DTYPE
 from repro.taq.universe import default_universe
 
 
+def feed(bank, *prices):
+    """Feed symbol 0 one uncrossed quote per price (its bid–ask midpoint);
+    return each quote's keep flag."""
+    prices = np.asarray(prices, dtype=float)
+    quotes = np.zeros(prices.size, dtype=QUOTE_DTYPE)
+    quotes["bid"] = prices - 0.005
+    quotes["ask"] = prices + 0.005
+    keep, _, _ = filter_quotes(quotes, bank)
+    return keep
+
+
 class TestTcpLikeFilter:
+    """The filter's behaviour on one symbol of a :class:`FilterBank`."""
+
     def test_accepts_stable_stream(self):
-        f = TcpLikeFilter()
-        assert all(f.update(100.0 + 0.01 * (i % 3)) for i in range(200))
+        bank = FilterBank(1)
+        assert feed(bank, *(100.0 + 0.01 * (i % 3) for i in range(200))).all()
 
     def test_rejects_decimal_slip(self):
-        f = TcpLikeFilter()
-        for _ in range(50):
-            f.update(100.0)
-        assert not f.update(1000.0)  # 10x typo
-        assert not f.update(10.0)  # 0.1x typo
+        bank = FilterBank(1)
+        feed(bank, *[100.0] * 50)
+        assert not feed(bank, 1000.0)[0]  # 10x typo
+        assert not feed(bank, 10.0)[0]  # 0.1x typo
 
     def test_rejection_does_not_poison_estimates(self):
-        f = TcpLikeFilter()
-        for _ in range(50):
-            f.update(100.0)
-        avg_before = f.average
-        f.update(1000.0)
-        assert f.average == avg_before
+        bank = FilterBank(1)
+        feed(bank, *[100.0] * 50)
+        before = bank.copy()
+        assert not feed(bank, 1000.0)[0]
+        assert bank.avg[0] == before.avg[0]
+        assert bank.dev[0] == before.dev[0]
+        assert bank.seen[0] == before.seen[0] == 50
 
     def test_recovers_after_outlier_burst(self):
-        f = TcpLikeFilter()
-        for _ in range(50):
-            f.update(100.0)
-        for _ in range(5):
-            assert not f.update(999.0)
-        assert f.update(100.05)
+        bank = FilterBank(1)
+        feed(bank, *[100.0] * 50)
+        assert not feed(bank, *[999.0] * 5).any()
+        assert feed(bank, 100.05)[0]
 
     def test_warmup_accepts_everything(self):
-        f = TcpLikeFilter(warmup=10)
+        bank = FilterBank(1, warmup=10)
         # Wild swings during warmup are accepted (estimates are forming).
-        assert f.update(100.0)
-        assert f.update(500.0)
-        assert f.update(50.0)
+        assert feed(bank, 100.0, 500.0, 50.0).all()
 
     def test_tracks_drifting_price(self):
-        f = TcpLikeFilter()
-        price = 100.0
-        rejected = 0
-        for _ in range(1000):
-            price *= 1.0001  # steady 1bp drift per tick
-            if not f.update(price):
-                rejected += 1
-        assert rejected == 0
+        bank = FilterBank(1)
+        # steady 1bp drift per tick
+        assert feed(bank, *100.0 * 1.0001 ** np.arange(1, 1001)).all()
 
     def test_rejects_nonpositive_and_nan(self):
-        f = TcpLikeFilter()
-        f.update(100.0)
-        assert not f.update(0.0)
-        assert not f.update(-5.0)
-        assert not f.update(float("nan"))
+        bank = FilterBank(1)
+        feed(bank, 100.0)
+        assert not feed(bank, 0.0, -5.0, float("nan")).any()
+        assert bank.seen[0] == 1
 
     def test_deviation_floor_prevents_zero_band(self):
-        f = TcpLikeFilter(min_dev_frac=1e-3)
-        for _ in range(100):
-            f.update(100.0)  # constant stream, dev decays toward 0
+        bank = FilterBank(1, min_dev_frac=1e-3)
+        feed(bank, *[100.0] * 100)  # constant stream, dev decays toward 0
         # A move within the floor band is still accepted.
-        assert f.update(100.2)
+        assert feed(bank, 100.2)[0]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -77,11 +84,12 @@ class TestTcpLikeFilter:
             {"k": 0.0},
             {"warmup": 0},
             {"min_dev_frac": 0.0},
+            {"n_symbols": 0},
         ],
     )
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises((ValueError, TypeError)):
-            TcpLikeFilter(**kwargs)
+            FilterBank(**{"n_symbols": 1, **kwargs})
 
 
 class TestCleanQuotes:

@@ -320,3 +320,56 @@ class Banked(Component):
         self._bank = None if bank is None else bank.copy()
 ''')
         assert diags == []
+
+    def test_restore_through_a_local_flagged(self):
+        """``v = state["k"]`` then ``self.x = v`` installs the checkpoint's
+        object as surely as ``self.x = state["k"]`` does."""
+        for read in ('state["bank"]', 'state.get("bank")'):
+            diags = analyze(self.BANK + f'''
+    def snapshot(self):
+        return {{"bank": None if self._bank is None else self._bank.copy()}}
+    def restore(self, state):
+        bank = {read}
+        self._bank = bank
+''')
+            alias = [d for d in diags if d.rule == "state.live-alias"]
+            assert len(alias) == 1 and "restore" in alias[0].message, read
+
+    def test_local_rebound_to_a_copy_absolves(self):
+        diags = analyze(self.BANK + '''
+    def snapshot(self):
+        return {"bank": None if self._bank is None else self._bank.copy()}
+    def restore(self, state):
+        bank = state["bank"]
+        if bank is not None:
+            bank = bank.copy()
+        self._bank = bank
+''')
+        assert diags == []
+
+    def test_bank_built_in_init_is_live_state(self):
+        """The cleaning stage's filter bank exists from ``__init__`` on."""
+        diags = analyze('''
+class Bank:
+    def __init__(self, n):
+        self.rows = [0] * n
+    def copy(self):
+        return Bank(len(self.rows))
+
+def step(records, bank):
+    bank.rows[0] += 1
+
+class Eager(Component):
+    def __init__(self, n):
+        super().__init__("eager", input_ports=("in",))
+        self._bank = Bank(n)
+    def on_message(self, ctx, port, payload):
+        step(payload, self._bank)
+    def snapshot(self):
+        return {"bank": self._bank.copy()}
+    def restore(self, state):
+        bank = state["bank"]
+        self._bank = bank
+''')
+        alias = [d for d in diags if d.rule == "state.live-alias"]
+        assert len(alias) == 1 and "restore" in alias[0].message

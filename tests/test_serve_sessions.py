@@ -384,6 +384,18 @@ class TestResize:
             manager.command("rzb", "resize", "bob", target=3)
         wait_terminal(manager, "rzb")
 
+    def test_resize_of_a_finished_backtest_is_still_unsupported(self, manager):
+        """Kind is checked before liveness, so a backtest that finished
+        before the request arrived gets the same answer as a running one."""
+        from repro.serve import CommandUnsupported
+
+        manager.submit(
+            "rzf", "backtest", {"days": 1, "symbols": 4, "levels": 1}, "bob"
+        )
+        wait_terminal(manager, "rzf")
+        with pytest.raises(CommandUnsupported, match="backtest"):
+            manager.command("rzf", "resize", "bob", target=3)
+
     def test_second_resize_before_boundary_is_409(self, manager):
         from repro.serve import ResizePending
 
