@@ -27,7 +27,7 @@ echo "== compileall =="
 python -m compileall -q src
 
 echo "== native kernels build (gcc -O2 -ffp-contract=off) =="
-python -c "import repro.clean.filters as f; print(f._KERNEL._name)"
+python -c "import repro.clean.filters as f, repro.corr.maronna as m; print(f._KERNEL._name); print(m._KERNEL._name)"
 
 echo "== repro lint (graph spec + source rules, one pass, 10 s budget) =="
 timeout 10 python -m repro.cli lint --strict --root src/repro

@@ -28,35 +28,4 @@ Quick start::
     print(format_treatment_table(tables, "Average cumulative returns"))
 """
 
-from repro import (
-    backtest,
-    bars,
-    clean,
-    corr,
-    marketminer,
-    metrics,
-    mpi,
-    obs,
-    sge,
-    strategy,
-    taq,
-    util,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "backtest",
-    "bars",
-    "clean",
-    "corr",
-    "marketminer",
-    "metrics",
-    "mpi",
-    "obs",
-    "sge",
-    "strategy",
-    "taq",
-    "util",
-]

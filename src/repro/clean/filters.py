@@ -31,22 +31,19 @@ from repro.taq.types import validate_quote_array
 from repro.util import native
 from repro.util.validation import check_positive, check_positive_int
 
-
-def _array(dtype, writable=False):
-    """A 1-D C-contiguous array argument; ctypes checks it on every call."""
-    return np.ctypeslib.ndpointer(dtype, ndim=1, flags="C,W" if writable else "C")
-
-
 _KERNEL = native.load(Path(__file__).with_name("tcp_filter.c"))
 _KERNEL.tcp_filter.restype = ctypes.c_int64
 _KERNEL.tcp_filter.argtypes = [
     ctypes.c_int64,  # n
-    _array(np.float64), _array(np.bool_), _array(np.int32),  # bam, crossed, symbol
+    # bam, crossed, symbol
+    native.array(np.float64), native.array(np.bool_), native.array(np.int32),
     # avg, dev, seen: the bank's state, updated in place
-    _array(np.float64, True), _array(np.float64, True), _array(np.int64, True),
+    native.array(np.float64, True),
+    native.array(np.float64, True),
+    native.array(np.int64, True),
     ctypes.c_double, ctypes.c_double, ctypes.c_double,  # alpha, beta, k
     ctypes.c_int64, ctypes.c_double,  # warmup, min_dev_frac
-    _array(np.bool_, True),  # keep
+    native.array(np.bool_, True),  # keep
 ]
 
 

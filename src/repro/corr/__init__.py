@@ -39,12 +39,7 @@ from repro.corr.eigen import (
     market_mode,
     residual_correlation,
 )
-from repro.corr.maronna import (
-    MaronnaConfig,
-    maronna_corr,
-    maronna_corr_batched,
-    maronna_weights,
-)
+from repro.corr.maronna import MaronnaConfig, maronna_corr, maronna_corr_batched
 from repro.corr.measures import (
     CorrelationType,
     all_pairs,
@@ -81,7 +76,6 @@ __all__ = [
     "market_mode",
     "maronna_corr",
     "maronna_corr_batched",
-    "maronna_weights",
     "nearest_psd_correlation",
     "pairwise_corr",
     "pearson_corr",

@@ -10,13 +10,13 @@ every Maronna fixed point — is computed exactly once:
 * **Pearson** — per-symbol centred cumulative moments are computed once
   (O(T·n) instead of O(T·n²)), and only the pair cross-moments are formed
   per pair, chunked to bound peak memory;
-* **Maronna / Combined** — each symbol's window medians and scales are
-  computed once, every pair's windows are stacked into cache-resident
-  contiguous batches, and one fixed-point iteration converges *all pairs
-  and all windows simultaneously* under one convergence mask in
-  preallocated buffers.  Combined is ``0.5 * (Pearson + Maronna)`` of the
-  same window, so it is derived from the window's Maronna evaluation
-  rather than running a second one.
+* **Maronna / Combined** — each symbol's returns are copied into one
+  contiguous row and its window medians and scales computed once; one
+  call of the C fixed point then reads every pair's windows in place
+  from the two symbols' rows and iterates each to its own fixed point.
+  Combined is ``0.5 * (Pearson + Maronna)`` of the same window, so it is
+  derived from the window's Maronna evaluation rather than running a
+  second one.
 
 :func:`corr_series` (one pair — Approach 2's per-job recomputation) and
 :func:`corr_matrix_series` (Approach 1's materialised matrices) are thin
@@ -33,14 +33,13 @@ A block is **bitwise-identical** to the per-window oracle kept in
   expression-for-expression (per-column ``.mean()``, columnwise ``cumsum``
   — strictly sequential in NumPy — and the same elementwise
   ``_corr_from_moments``);
-* the robust kernel freezes each window once converged, so every window's
-  trajectory is independent of which other windows share its batch — batch
-  composition and chunk boundaries cannot change any result (guaranteed by
-  :func:`repro.corr.maronna.maronna_fixed_point`, which is also what
-  :func:`repro.corr.maronna.maronna_corr_batched` runs, and asserted by
-  the property tests in ``tests/test_corr_batch.py``);
+* the robust kernel iterates each window on its own, so no window's
+  result depends on which other windows share the call or in what order
+  (:func:`repro.corr.maronna.maronna_fixed_point`, which is also what
+  :func:`repro.corr.maronna.maronna_corr_batched` runs; asserted by the
+  property tests in ``tests/test_corr_batch.py``);
 * the Combined block averages the Maronna result with
-  :func:`repro.corr.pearson.pearson_corr_batched` of the same stacked
+  :func:`repro.corr.pearson.pearson_corr_batched` of the same sliding
   windows — what :func:`repro.corr.combined.combined_corr_batched` does —
   not with the cumsum Pearson block, which differs in the last ulp.
 """
@@ -53,12 +52,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.bars.returns import sliding_windows
-from repro.corr.maronna import (
-    N_WORK_BUFFERS,
-    MaronnaConfig,
-    maronna_fixed_point,
-    robust_start,
-)
+from repro.corr.maronna import MaronnaConfig, maronna_fixed_point, robust_start
 from repro.corr.measures import CorrelationType, all_pairs, check_pairs
 from repro.corr.pearson import (
     _corr_from_moments,
@@ -72,25 +66,16 @@ from repro.util.validation import check_positive_int
 #: Cap on elements materialised per Pearson cross-moment chunk.
 _CHUNK_ELEMENTS = 2_000_000
 
-#: Cap on elements per robust-kernel batch.  A fixed-point step makes
-#: ~30 passes over buffers of the batch's size, so the batch must stay
-#: cache-resident (64k elements = 512 KiB a buffer measured ~1.5x faster
-#: than megabyte batches) — and not smaller: at 16k elements two rank
-#: threads spend the step trading the GIL between short ufunc calls
-#: (study_robust 1.61-1.64 s a pass against 0.95-1.05 s).
-_ROBUST_CHUNK_ELEMENTS = 65_536
-
 
 class BatchWorkspace:
     """Scratch buffers reused across batch kernel calls.
 
-    The batch kernels need working arrays proportional to the chunk
-    budget; an engine passes one workspace to every call of a run, so
-    each role's buffer is allocated once and stays cache-warm.  Buffers
-    are handed out by capacity: a role's allocation serves every request
-    that fits in it, whatever the shape — the same 65,536 elements are
-    ``(1310, 50)`` at M = 50 and ``(327, 200)`` at M = 200 — and is
-    replaced only by a larger one.
+    The Pearson block needs working arrays of the day's size and its
+    chunk budget; an engine passes one workspace to every call of a run,
+    so each role's buffer is allocated once and stays cache-warm.
+    Buffers are handed out by capacity: a role's allocation serves every
+    request that fits in it, whatever the shape, and is replaced only by
+    a larger one.
     """
 
     def __init__(self) -> None:
@@ -217,73 +202,44 @@ def _robust_blocks(
     outs: dict[CorrelationType, np.ndarray],
     config: MaronnaConfig | None,
     pairs: list[tuple[int, int]],
-    ws: BatchWorkspace,
-) -> tuple[int, int, int]:
+) -> tuple[int, int]:
     """One Maronna evaluation of every (window, pair) into each robust
-    block of ``outs``; returns ``(chunks, window-steps, unconverged)``.
+    block of ``outs``; returns ``(window-steps, unconverged)``.
 
-    Each symbol's window medians and scales are computed once, as
-    ``(n_windows,)`` vectors the pairs index.  Every pair's sliding
-    windows are then stacked into contiguous ``(rows, m)`` batches
-    spanning pair boundaries and put through one fixed point: the Maronna
-    block is its result, the Combined block its average with the
-    per-window Pearson of the same stacked batch.  Per-window convergence
-    freezing makes each row's result independent of the batch
-    composition, so the flat-row chunking cannot change any value.
+    Each symbol's returns are copied into one contiguous row and its
+    window medians and scales computed once; one kernel call then reads
+    every pair's windows in place from the two symbols' rows.  The
+    Maronna block is its result, the Combined block its average with the
+    per-window Pearson of the same windows.
     """
     if m < 3:
         raise ValueError("window length must be >= 3 for a robust fit")
     cfg = config if config is not None else MaronnaConfig()
-    n_win = returns.shape[0] - m + 1
-    total_rows = len(pairs) * n_win
-    chunk_rows = max(1, min(_ROBUST_CHUNK_ELEMENTS // m, total_rows))
+    T, n = returns.shape
+    n_win = T - m + 1
+    series = np.ascontiguousarray(returns.T)
     wins = {
-        s: sliding_windows(returns[:, s], m)
+        s: sliding_windows(series[s], m)
         for s in sorted({s for pair in pairs for s in pair})
     }
-    start = {s: np.empty((2, n_win)) for s in wins}
-    for s, (med, scale) in start.items():
-        for lo in range(0, n_win, chunk_rows):
-            hi = lo + chunk_rows
-            med[lo:hi], scale[lo:hi] = robust_start(wins[s][lo:hi])
-    work = ws.get("robust.work", (N_WORK_BUFFERS, chunk_rows, m))
-    n_chunks = row_steps = unconverged = 0
-    for lo in range(0, total_rows, chunk_rows):
-        hi = min(lo + chunk_rows, total_rows)
-        rows = hi - lo
-        # The (buffer row, pair, first window, row count) runs of this chunk.
-        runs = []
-        pos = lo
-        while pos < hi:
-            p, w = divmod(pos, n_win)
-            take = min(hi - pos, n_win - w)
-            runs.append((pos - lo, p, w, take))
-            pos += take
-        tx, sx, ty, sy = np.empty((4, rows))
-        for r, p, w, take in runs:  # gather window slices into the stack
-            i, j = pairs[p]
-            work[0, r : r + take] = wins[i][w : w + take]
-            work[1, r : r + take] = wins[j][w : w + take]
-            tx[r : r + take], sx[r : r + take] = start[i][:, w : w + take]
-            ty[r : r + take], sy[r : r + take] = start[j][:, w : w + take]
-        # The fixed point overwrites the stack, so Pearson reads it first.
-        if CorrelationType.COMBINED in outs:
-            pearson = pearson_corr_batched(work[0, :rows], work[1, :rows])
-        maronna, steps, live = maronna_fixed_point(
-            work, rows, tx, ty, sx, sy, cfg
-        )
-        for ctype, out in outs.items():
-            vals = (
-                maronna
-                if ctype is CorrelationType.MARONNA
-                else 0.5 * (pearson + maronna)
-            )
-            for r, p, w, take in runs:  # scatter back to (window, pair)
-                out[w : w + take, p] = vals[r : r + take]
-        n_chunks += 1
-        row_steps += steps
-        unconverged += live
-    return n_chunks, row_steps, unconverged
+    start = np.zeros((n, 2, n_win))
+    for s, w in wins.items():
+        start[s] = robust_start(w)
+    maronna = outs.get(CorrelationType.MARONNA)
+    if maronna is None or not maronna.flags.c_contiguous:
+        maronna = np.empty((n_win, len(pairs)))
+    row_steps, unconverged = maronna_fixed_point(
+        series, 1, start, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        m, cfg, maronna,
+    )
+    for ctype, out in outs.items():
+        if ctype is CorrelationType.COMBINED:
+            for p, (i, j) in enumerate(pairs):
+                pearson = pearson_corr_batched(wins[i], wins[j])
+                out[:, p] = 0.5 * (pearson + maronna[:, p])
+        elif out is not maronna:
+            out[...] = maronna
+    return row_steps, unconverged
 
 
 def _fill_blocks(
@@ -313,10 +269,10 @@ def _fill_blocks(
                 returns, m, pairs, outs[CorrelationType.PEARSON], ws
             )
         if robust:
-            chunks, row_steps, unconverged = _robust_blocks(
-                returns, m, robust, config, pairs, ws
+            row_steps, unconverged = _robust_blocks(
+                returns, m, robust, config, pairs
             )
-            n_chunks += chunks
+            n_chunks += 1
     counter = obs.metrics.counter
     windows = len(pairs) * (returns.shape[0] - m + 1)
     counter("corr.batch.pairs").inc(len(pairs) * len(outs))
@@ -413,8 +369,8 @@ def corr_series(
 
     Output index ``k`` covers observations ``k .. k + m - 1``
     (length ``T - m + 1``), identical across measures.  This is the
-    one-pair job of Approach 2: the robust measures run the same chunked
-    kernel loop as a one-pair block, Pearson is
+    one-pair job of Approach 2: the robust measures run the same kernel
+    as a one-pair block, Pearson is
     :func:`repro.corr.pearson.pearson_series` itself.
     """
     x = np.asarray(x, dtype=float)
@@ -426,7 +382,7 @@ def corr_series(
     if ctype is CorrelationType.PEARSON:
         return pearson_series(x, y, m)
     out = np.empty((n_win, 1))
-    _robust_blocks(returns, m, {ctype: out}, config, pairs, BatchWorkspace())
+    _robust_blocks(returns, m, {ctype: out}, config, pairs)
     return out[:, 0]
 
 

@@ -25,7 +25,14 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def array(dtype, writable: bool = False):
+    """A 1-D C-contiguous array argument; ctypes checks it on every call."""
+    return np.ctypeslib.ndpointer(dtype, ndim=1, flags="C,W" if writable else "C")
 
 
 def load(source: Path, cache_dir: Path | None = None) -> ctypes.CDLL:

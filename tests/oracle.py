@@ -1,6 +1,9 @@
 """Frozen reference implementations the production kernels are tested against.
 
-The per-window correlation oracle comes first; :class:`PerQuoteBarAccumulator`
+The per-window correlation oracle comes first, then the Maronna
+estimator's frozen definition (:func:`frozen_maronna_corr_batched`) and
+the vectorised NumPy step production ran before its per-window C loop
+(:func:`frozen_maronna_fixed_point`); :class:`PerQuoteBarAccumulator`
 (the bar accumulator as it stood before the one-kernel form), the streaming
 strategy :class:`PairStrategy` with its entry, exit and close helpers (one
 Python object per (pair, parameter set) cell, as the pipeline stepped them
@@ -165,6 +168,159 @@ def frozen_maronna_corr_batched(
         )
     corr = np.where(degenerate, 0.0, corr)
     return np.clip(corr, -1.0, 1.0)
+
+
+#: Chunk-sized work buffers one fixed point needs: the two window batches
+#: and four scratch arrays.
+N_WORK_BUFFERS = 6
+
+#: The working copy of a batch is recompacted once at most this share of
+#: its rows is still iterating.  Until then a converged row is evaluated
+#: along with the rest but its state is never written, so when a window
+#: freezes — and every bit of its result — does not depend on the value.
+_COMPACT_LIVE_SHARE = 0.75
+
+
+def frozen_maronna_fixed_point(
+    work: np.ndarray,
+    n: int,
+    tx: np.ndarray,
+    ty: np.ndarray,
+    sx: np.ndarray,
+    sy: np.ndarray,
+    cfg: MaronnaConfig,
+) -> tuple[np.ndarray, int, int]:
+    """Iterate ``n`` windows from their robust start to the fixed point.
+
+    The vectorised NumPy Maronna step as production ran it before the
+    per-window C loop (``repro/corr/maronna_step.c``), copied verbatim:
+    the kernel must equal it bit for bit, correlations, ``row_steps`` and
+    ``unconverged`` alike.  ``work`` is a
+    ``(N_WORK_BUFFERS, capacity, M)`` float64 array whose first two planes
+    hold the x and y windows in their first ``n`` rows; all six planes are
+    overwritten, and so are ``tx``/``ty`` (per-row medians).  ``sx``/``sy``
+    are the per-row scales of :func:`robust_start`.  Every array pass of a
+    step writes into ``work``, so a step allocates nothing of batch size.
+
+    Returns ``(correlations, row_steps, unconverged)``: shape ``(n,)`` in
+    ``[-1, 1]``, the number of (window, step) updates made, and how many
+    windows were still moving when ``cfg.max_iter`` stopped them.
+    """
+    m = work.shape[2]
+    x, y, s1, s2, s3, s4 = (work[i, :n] for i in range(N_WORK_BUFFERS))
+    degenerate = (sx <= _EPS) | (sy <= _EPS)
+    sx = np.where(degenerate, 1.0, sx)
+    sy = np.where(degenerate, 1.0, sy)
+
+    # Quadrant correlation as the initial shape.
+    np.sign(np.subtract(x, tx[:, None], out=s1), out=s1)
+    np.sign(np.subtract(y, ty[:, None], out=s2), out=s2)
+    q = np.add.reduce(np.multiply(s1, s2, out=s1), axis=1) / m
+    rho0 = np.clip(np.sin(0.5 * np.pi * q), -0.98, 0.98)
+
+    # The scatter V: a = V[0,0], b = V[0,1], c = V[1,1].  ``final`` keeps
+    # one entry per window; (a, b, c) are it until the first compaction
+    # and the working rows' copies afterwards, ``rows`` mapping them back.
+    final = a, b, c = sx * sx, rho0 * sx * sy, sy * sy
+    rows = None
+
+    k, k2, tol = cfg.k, cfg.k * cfg.k, cfg.tol
+    # Per-window freezing: once a window's scatter has converged it stops
+    # updating, so each window's trajectory — and therefore its result —
+    # is independent of which other windows share the batch.
+    live = ~degenerate
+    n_live = int(np.count_nonzero(live))
+    vec = np.empty((9, n))  # the step's per-row temporaries
+    still = np.empty(n, dtype=bool)
+    row_steps = 0
+
+    def settle() -> None:
+        """Write the working rows' scatter back to their windows."""
+        if rows is not None:
+            for whole, part in zip(final, (a, b, c)):
+                whole[rows] = part
+
+    for _ in range(cfg.max_iter):
+        if n_live == 0:
+            break
+        if n_live <= _COMPACT_LIVE_SHARE * live.size:
+            settle()
+            keep = np.nonzero(live)[0]
+            rows = keep if rows is None else rows[keep]
+            np.take(x, keep, axis=0, out=s1[:n_live], mode="clip")
+            np.take(y, keep, axis=0, out=s2[:n_live], mode="clip")
+            x, y, s1, s2, s3, s4 = (
+                buf[:n_live] for buf in (s1, s2, x, y, s3, s4)
+            )
+            tx, ty, a, b, c = (v[keep] for v in (tx, ty, a, b, c))
+            vec, still = vec[:, :n_live], still[:n_live]
+            live = np.ones(n_live, dtype=bool)
+        det, b2, w1, tx_new, ty_new, a_new, b_new, c_new, t = vec
+
+        # Mahalanobis distances under the current 2x2 scatter.
+        np.subtract(
+            np.multiply(a, c, out=det), np.multiply(b, b, out=t), out=det
+        )
+        np.maximum(det, _EPS, out=det)
+        np.multiply(2.0, b, out=b2)
+        np.subtract(x, tx[:, None], out=s1)  # dx
+        np.subtract(y, ty[:, None], out=s2)  # dy
+        np.multiply(np.multiply(c[:, None], s1, out=s3), s1, out=s3)
+        np.multiply(np.multiply(b2[:, None], s1, out=s4), s2, out=s4)
+        np.subtract(s3, s4, out=s3)
+        np.multiply(np.multiply(a[:, None], s2, out=s4), s2, out=s4)
+        np.add(s3, s4, out=s3)
+        np.divide(s3, det[:, None], out=s3)
+        np.maximum(s3, 0.0, out=s3)  # d2
+        np.sqrt(s3, out=s4)  # d
+        # Huber weights: s4 becomes u1(d), s3 becomes u2(d2).
+        np.divide(k, np.maximum(s4, _EPS, out=s4), out=s4)
+        np.minimum(1.0, s4, out=s4)
+        np.divide(k2, np.maximum(s3, _EPS, out=s3), out=s3)
+        np.minimum(1.0, s3, out=s3)
+
+        np.add.reduce(s4, axis=1, out=w1)
+        np.add.reduce(np.multiply(s4, x, out=s1), axis=1, out=tx_new)
+        np.divide(tx_new, w1, out=tx_new)
+        np.add.reduce(np.multiply(s4, y, out=s1), axis=1, out=ty_new)
+        np.divide(ty_new, w1, out=ty_new)
+
+        np.subtract(x, tx_new[:, None], out=s1)  # dx
+        np.subtract(y, ty_new[:, None], out=s2)  # dy
+        np.multiply(s3, s1, out=s4)  # u2·dx, shared by a and b
+        np.add.reduce(np.multiply(s4, s1, out=s1), axis=1, out=a_new)
+        np.divide(a_new, m, out=a_new)
+        np.add.reduce(np.multiply(s4, s2, out=s1), axis=1, out=b_new)
+        np.divide(b_new, m, out=b_new)
+        np.multiply(np.multiply(s3, s2, out=s4), s2, out=s4)
+        np.add.reduce(s4, axis=1, out=c_new)
+        np.divide(c_new, m, out=c_new)
+
+        # still = delta > tol * scale, before the state moves.
+        np.maximum(np.maximum(a, c, out=t), _EPS, out=t)
+        np.multiply(tol, t, out=t)
+        np.abs(np.subtract(a_new, a, out=det), out=det)
+        np.abs(np.subtract(c_new, c, out=b2), out=b2)
+        np.maximum(det, b2, out=det)
+        np.abs(np.subtract(b_new, b, out=b2), out=b2)
+        np.greater(np.maximum(det, b2, out=det), t, out=still)
+        for state, new in (
+            (tx, tx_new), (ty, ty_new), (a, a_new), (b, b_new), (c, c_new)
+        ):
+            np.copyto(state, new, where=live)
+        np.logical_and(live, still, out=live)
+        row_steps += n_live
+        n_live = int(np.count_nonzero(live))
+
+    settle()
+    a, b, c = final
+    denom_sq = a * c
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.where(
+            denom_sq > _EPS, b / np.sqrt(np.maximum(denom_sq, _EPS)), 0.0
+        )
+    corr = np.where(degenerate, 0.0, corr)
+    return np.clip(corr, -1.0, 1.0), row_steps, n_live
 
 
 class PerQuoteBarAccumulator:

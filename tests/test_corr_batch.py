@@ -14,6 +14,7 @@ import pytest
 from repro import mpi
 from repro.backtest.data import BarProvider
 from repro.backtest.runner import SequentialBacktester
+from repro.bars.returns import sliding_windows
 from repro.corr.batch import (
     BatchWorkspace,
     batch_pair_blocks,
@@ -21,7 +22,7 @@ from repro.corr.batch import (
     corr_matrix_series,
     corr_series,
 )
-from repro.corr.maronna import MaronnaConfig
+from repro.corr.maronna import MaronnaConfig, maronna_corr_batched
 from repro.corr.measures import CorrelationType, all_pairs
 from repro.corr.parallel import ParallelCorrelationEngine
 from repro.elastic.sharding import shard_pairs
@@ -77,18 +78,22 @@ class TestHelpers:
         assert ws.nbytes == c.nbytes + 3 * 8
 
     def test_one_workspace_serves_every_window_of_a_run(self):
-        """Across the M = 50 / 100 / 200 blocks of a day the robust role
-        is allocated once (the reallocation per change of M is gone)."""
+        """Across the M = 50 / 100 / 200 blocks of a day the workspace is
+        allocated once: the Pearson roles do not depend on M, and the
+        robust blocks hold no scratch of batch size at all."""
         rng = np.random.default_rng(3)
-        returns = random_returns(rng, 800, 3)  # every M fills the chunk cap
+        returns = random_returns(rng, 800, 3)
         ws = BatchWorkspace()
-        batch_pair_blocks(returns, 50, ["maronna", "combined"], workspace=ws)
-        held = ws.get("robust.work", (1,))
+        batch_pair_blocks(returns, 50, CTYPES, workspace=ws)
+        held = ws.get("pearson.centred", (1,))
         before = ws.nbytes
         for m in (100, 200, 50):
-            batch_pair_blocks(returns, m, ["maronna"], workspace=ws)
-            assert np.shares_memory(held, ws.get("robust.work", (1,)))
+            batch_pair_blocks(returns, m, CTYPES, workspace=ws)
+            assert np.shares_memory(held, ws.get("pearson.centred", (1,)))
         assert ws.nbytes == before
+        robust_only = BatchWorkspace()
+        batch_pair_blocks(returns, 50, ["maronna", "combined"], workspace=robust_only)
+        assert robust_only.nbytes == 0
 
 
 class TestPropertyBatchEqualsScalar:
@@ -143,21 +148,30 @@ class TestPropertyBatchEqualsScalar:
         )
 
     def test_chunk_boundaries_cannot_change_results(self, monkeypatch):
-        """Shrink both chunk budgets to force many tiny, pair-straddling
-        chunks; results must not move by a single bit."""
+        """Shrink the Pearson chunk budget to force many tiny chunks, and
+        hand the robust kernel the pairs in another order and in other
+        company; results must not move by a single bit."""
         import repro.corr.batch as batch_mod
 
         rng = np.random.default_rng(10)
         returns = random_returns(rng, 70, 5)
+        pairs = all_pairs(5)
         expected = {c: batch_pair_series(returns, 16, c) for c in CTYPES}
         monkeypatch.setattr(batch_mod, "_CHUNK_ELEMENTS", 97)
-        monkeypatch.setattr(batch_mod, "_ROBUST_CHUNK_ELEMENTS", 97)
         for c in CTYPES:
             np.testing.assert_array_equal(
                 batch_pair_series(returns, 16, c), expected[c]
             )
-            # The one-pair job chunks differently again (its rows never
-            # straddle a pair); the oracle never chunks at all.
+            np.testing.assert_array_equal(
+                batch_pair_series(returns, 16, c, pairs=pairs[::-1]),
+                expected[c][:, ::-1],
+            )
+            np.testing.assert_array_equal(
+                batch_pair_series(returns, 16, c, pairs=pairs[3:7]),
+                expected[c][:, 3:7],
+            )
+            # The one-pair job shares its call with no other pair; the
+            # oracle evaluates one window a call.
             np.testing.assert_array_equal(
                 per_pair_series(returns, 16, c), expected[c]
             )
@@ -166,25 +180,31 @@ class TestPropertyBatchEqualsScalar:
             )
 
     @pytest.mark.parametrize("live_share", [0.0, 1.0])
-    def test_chunk_cap_and_compaction_cannot_change_results(
-        self, monkeypatch, live_share
-    ):
-        """Three-window chunks, and a working set that is never
-        recompacted (0.0) or recompacted before every step (1.0): when a
-        converged window stops being *evaluated* is a cost, not a result."""
-        import repro.corr.batch as batch_mod
-        import repro.corr.maronna as maronna_mod
-
+    def test_chunk_cap_and_compaction_cannot_change_results(self, live_share):
+        """Every window of a block put through the kernel alone (0.0) or
+        all of them at once in shuffled order (1.0), MAD = 0 and constant
+        windows included: which windows share a call, and in what order,
+        is a cost, not a result."""
         rng = np.random.default_rng(16)
         returns = random_returns(rng, 90, 4, constant_col=True)
         returns[:, 1] = np.round(returns[:, 1] * 400.0)  # MAD = 0 windows
         m = 14
-        expected = batch_pair_blocks(returns, m, ["maronna", "combined"])
-        monkeypatch.setattr(batch_mod, "_ROBUST_CHUNK_ELEMENTS", 3 * m)
-        monkeypatch.setattr(maronna_mod, "_COMPACT_LIVE_SHARE", live_share)
-        got = batch_pair_blocks(returns, m, ["maronna", "combined"])
-        for ctype, block in expected.items():
-            np.testing.assert_array_equal(got[ctype], block)
+        blocks = batch_pair_blocks(returns, m, ["maronna", "combined"])
+        pairs = all_pairs(4)
+        xw = np.concatenate([sliding_windows(returns[:, i], m) for i, _ in pairs])
+        yw = np.concatenate([sliding_windows(returns[:, j], m) for _, j in pairs])
+        expected = blocks[CorrelationType.MARONNA].T.ravel()
+        if live_share == 0.0:
+            got = np.array([
+                maronna_corr_batched(xw[r : r + 1], yw[r : r + 1])[0]
+                for r in range(len(xw))
+            ])
+        else:
+            order = rng.permutation(len(xw))
+            got = np.empty(len(xw))
+            got[order] = maronna_corr_batched(xw[order], yw[order])
+        np.testing.assert_array_equal(got, expected)
+        for ctype, block in blocks.items():
             np.testing.assert_array_equal(
                 reference_pair_series(returns, m, ctype), block
             )
@@ -262,26 +282,23 @@ class TestMaronnaConvergenceMask:
             < MaronnaConfig().max_iter * n_series
         )
 
-    def test_step_count_is_a_property_of_the_data(self, monkeypatch):
-        """Row-steps count updates made, not rows evaluated, so chunking
-        and compaction leave the figure alone."""
-        import repro.corr.batch as batch_mod
-        import repro.corr.maronna as maronna_mod
-
+    def test_step_count_is_a_property_of_the_data(self):
+        """Row-steps count updates made, so a block's figure is the sum
+        of its pairs' figures, in whatever company or order they run."""
         rng = np.random.default_rng(17)
         returns = random_returns(rng, 80, 3)
 
-        def steps():
+        def steps(pairs):
             obs = Obs()
-            batch_pair_series(returns, 15, "maronna", obs=obs)
+            batch_pair_series(returns, 15, "maronna", pairs=pairs, obs=obs)
             return obs.to_dict()["metrics"]["counters"][
                 "corr.batch.fixed_point_steps"
             ]
 
-        expected = steps()
-        monkeypatch.setattr(batch_mod, "_ROBUST_CHUNK_ELEMENTS", 45)
-        monkeypatch.setattr(maronna_mod, "_COMPACT_LIVE_SHARE", 1.0)
-        assert steps() == expected
+        pairs = all_pairs(3)
+        expected = steps(pairs)
+        assert steps(pairs[::-1]) == expected
+        assert sum(steps([pair]) for pair in pairs) == expected
 
 
 class TestObsAttribution:

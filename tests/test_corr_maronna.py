@@ -1,19 +1,32 @@
 """Tests for the Maronna robust correlation estimator."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bars.returns import sliding_windows
+from repro.corr import maronna
+from repro.corr.batch import batch_pair_blocks
 from repro.corr.maronna import (
     DEFAULT_HUBER_K,
     MaronnaConfig,
     maronna_corr,
     maronna_corr_batched,
-    maronna_weights,
+    maronna_fixed_point,
+    robust_start,
 )
+from repro.corr.measures import CorrelationType, all_pairs
 from repro.corr.pearson import pearson_corr
-from tests.oracle import frozen_maronna_corr_batched
+from repro.elastic.sharding import shard_pairs
+from repro.obs import Obs
+from tests.oracle import (
+    N_WORK_BUFFERS,
+    frozen_maronna_corr_batched,
+    frozen_maronna_fixed_point,
+)
 
 
 def bivariate_normal(rng, rho, n):
@@ -33,28 +46,6 @@ class TestConfig:
     def test_rejects_bad(self, kwargs):
         with pytest.raises((ValueError, TypeError)):
             MaronnaConfig(**kwargs)
-
-
-class TestWeights:
-    def test_full_weight_inside_radius(self):
-        u1, u2 = maronna_weights(np.array([0.5, 1.0, 2.0]), k=2.5)
-        np.testing.assert_array_equal(u1, 1.0)
-        np.testing.assert_array_equal(u2, 1.0)
-
-    def test_downweight_outside_radius(self):
-        u1, u2 = maronna_weights(np.array([5.0]), k=2.5)
-        assert u1[0] == pytest.approx(0.5)
-        assert u2[0] == pytest.approx(0.25)
-
-    def test_monotone_decreasing(self):
-        d = np.linspace(0.1, 50, 200)
-        u1, u2 = maronna_weights(d, k=2.5)
-        assert np.all(np.diff(u1) <= 0)
-        assert np.all(np.diff(u2) <= 0)
-
-    def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            maronna_weights(np.array([-1.0]), k=2.5)
 
 
 class TestCleanData:
@@ -182,6 +173,9 @@ def adversarial_batch(rng, kind, B, m):
         y[1::4] = 0.0
     elif kind == "identical":
         y = x.copy()
+    elif kind == "heavy-tails":  # Student t with 1.5 degrees of freedom
+        x = rng.standard_t(1.5, size=(B, m))
+        y = 0.6 * x + 0.8 * rng.standard_t(1.5, size=(B, m))
     elif kind == "tiny":
         x *= 1e-4
         y *= 1e-4
@@ -255,3 +249,192 @@ class TestFrozenDefinition:
         maronna_corr_batched(x, y)
         np.testing.assert_array_equal(x, x0)
         np.testing.assert_array_equal(y, y0)
+
+
+class TestPairwiseReplica:
+    """The fact that makes the C kernel bitwise: its sum is NumPy's
+    pairwise ``np.add.reduce`` of a row, operation for operation.  If
+    NumPy changes its reduction order, this fails first and names it."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_add_reduce_is_numpys(self, stride):
+        gen = np.random.default_rng(stride)
+        for n in range(1101):
+            size = n * stride
+            buf = gen.normal(size=size) * 10.0 ** gen.integers(-8, 9, size)
+            buf[gen.random(size) < 0.05] = -0.0
+            if n % 10 == 0:
+                buf[:] = -0.0  # a sum of negative zeros is +0.0
+            want = np.add.reduce(buf[::stride])
+            got = maronna._KERNEL.add_reduce(buf.ctypes.data, n, stride)
+            assert np.float64(got).tobytes() == want.tobytes(), (n, got, want)
+
+
+def both_fixed_points(x, y, cfg):
+    """The kernel's and the frozen NumPy step's ``(corr, row_steps,
+    unconverged)`` on one ``(B, M)`` window batch from its robust start."""
+    B, m = x.shape
+    (tx, sx), (ty, sy) = robust_start(x), robust_start(y)
+    out = np.empty((B, 1))
+    kernel = maronna_fixed_point(
+        np.stack([x, y]).reshape(2, B * m), m,
+        np.array([[tx, sx], [ty, sy]]), np.array([[0, 1]]), m, cfg, out,
+    )
+    work = np.empty((N_WORK_BUFFERS, B, m))
+    work[0], work[1] = x, y
+    frozen = frozen_maronna_fixed_point(work, B, tx, ty, sx, sy, cfg)
+    return (out[:, 0], *kernel), frozen
+
+
+class TestKernelEqualsFrozenStep:
+    """The C kernel against the NumPy step it replaced
+    (``tests/oracle.py``): the same correlations, ``row_steps`` and
+    ``unconverged``, bit for bit."""
+
+    KINDS = (
+        "plain", "heavy-tails", "integers", "constant-rows", "outliers",
+        "mixed",
+    )
+    #: Around 8 (one accumulator block) and 128 (the pairwise split).
+    MS = (3, 5, 7, 8, 9, 16, 50, 100, 127, 128, 129, 200, 257, 390)
+
+    @pytest.mark.parametrize("m", MS)
+    def test_equals_frozen_step(self, m):
+        for kind in self.KINDS:
+            gen = np.random.default_rng([m, self.KINDS.index(kind)])
+            x, y = adversarial_batch(gen, kind, 24, m)
+            # max_iter 2 leaves windows unconverged; 60 is the default.
+            for cfg in (MaronnaConfig(max_iter=2), MaronnaConfig()):
+                (corr, steps, stuck), frozen = both_fixed_points(x, y, cfg)
+                np.testing.assert_array_equal(corr, frozen[0], err_msg=kind)
+                assert (steps, stuck) == frozen[1:], kind
+                np.testing.assert_array_equal(
+                    corr, frozen_maronna_corr_batched(x, y, cfg), err_msg=kind
+                )
+
+    def test_zero_mad_falls_back_to_std_and_constant_is_zero(self):
+        gen = np.random.default_rng(31)
+        x, y = adversarial_batch(gen, "integers", 40, 20)
+        x[:5] = np.where(np.arange(20) < 15, 1.0, gen.normal(size=20))
+        y[5:8] = 3.0
+        _, sx = robust_start(x)
+        assert (np.median(np.abs(x[:5] - 1.0), axis=1) == 0.0).all()
+        assert (sx[:5] > 0.0).all()  # the std fallback
+        (corr, steps, stuck), frozen = both_fixed_points(x, y, MaronnaConfig())
+        np.testing.assert_array_equal(corr, frozen[0])
+        assert (steps, stuck) == frozen[1:]
+        assert (corr[5:8] == 0.0).all()
+
+    def test_max_iter_exhausted(self):
+        gen = np.random.default_rng(32)
+        x, y = adversarial_batch(gen, "outliers", 30, 40)
+        cfg = MaronnaConfig(max_iter=1, tol=1e-14)
+        (corr, steps, stuck), frozen = both_fixed_points(x, y, cfg)
+        np.testing.assert_array_equal(corr, frozen[0])
+        assert (steps, stuck) == frozen[1:] == (30, 30)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e-160, 1e-200])
+    def test_extreme_scales(self, scale):
+        """Where the scatter overflows or underflows (inf, NaN and
+        subnormal determinants), the kernel still takes the frozen
+        step's path, never its own shortcut."""
+        gen = np.random.default_rng(34)
+        x, y = adversarial_batch(gen, "outliers", 30, 40)
+        x, y = x * scale, y * scale
+        x[::7] *= 1e10
+        with np.errstate(all="ignore"):
+            (corr, steps, stuck), frozen = both_fixed_points(
+                x, y, MaronnaConfig()
+            )
+        np.testing.assert_array_equal(corr, frozen[0])
+        assert (steps, stuck) == frozen[1:]
+
+    @pytest.mark.parametrize("mode", ["late-start", "halt", "never-moves"])
+    def test_hostile_days(self, mode):
+        """The damaged days the engines trade (``TestHostileDays``):
+        every block equals the frozen step pair by pair, counters too."""
+        from tests.test_backtest_engines import BASE, _hostile_provider
+
+        provider = _hostile_provider(mode)
+        cfg = MaronnaConfig()
+        for day in (0, 1):
+            returns = provider.returns(day)
+            pairs = all_pairs(returns.shape[1])
+            for m in (BASE.m, 50):
+                obs = Obs()
+                blocks = batch_pair_blocks(
+                    returns, m, ["maronna", "combined"], cfg, pairs, obs
+                )
+                steps = stuck = 0
+                for p, (i, j) in enumerate(pairs):
+                    x = np.ascontiguousarray(sliding_windows(returns[:, i], m))
+                    y = np.ascontiguousarray(sliding_windows(returns[:, j], m))
+                    _, frozen = both_fixed_points(x, y, cfg)
+                    np.testing.assert_array_equal(
+                        blocks[CorrelationType.MARONNA][:, p], frozen[0]
+                    )
+                    np.testing.assert_array_equal(
+                        blocks[CorrelationType.MARONNA][:, p],
+                        frozen_maronna_corr_batched(x, y, cfg),
+                    )
+                    steps += frozen[1]
+                    stuck += frozen[2]
+                counters = obs.to_dict()["metrics"]["counters"]
+                assert counters["corr.batch.fixed_point_steps"] == steps
+                assert counters["corr.batch.unconverged"] == stuck
+
+
+class TestGeometry:
+    def test_refuses_what_would_read_out_of_bounds(self):
+        """The C loop trusts its indices, so the wrapper checks them."""
+        series = np.zeros((2, 40))
+        start = np.ones((2, 2, 31))
+        pairs = np.array([[0, 1]])
+        cfg = MaronnaConfig()
+        maronna_fixed_point(series, 1, start, pairs, 10, cfg, np.empty((31, 1)))
+        bad = [
+            (series, 1, start, pairs, 11, np.empty((31, 1))),  # past the end
+            (series, 2, start, pairs, 10, np.empty((31, 1))),
+            (series, 1, start, np.array([[0, 2]]), 10, np.empty((31, 1))),
+            (series, 1, start, np.array([[-1, 1]]), 10, np.empty((31, 1))),
+            (series, 1, start[:, :, :30], pairs, 10, np.empty((31, 1))),
+            (series, 1, start, pairs, 10, np.empty((31, 2))),
+            (series, 1, start, pairs, 10, np.empty((31, 2))[:, :1]),
+        ]
+        for series_, step, start_, pairs_, m, out in bad:
+            with pytest.raises(ValueError, match="geometry"):
+                maronna_fixed_point(series_, step, start_, pairs_, m, cfg, out)
+
+
+class TestThreads:
+    def test_two_threads_at_once_give_the_serial_bits(self):
+        """ctypes drops the GIL for the kernel call, so the thread
+        backend's ranks run their shards in it at the same time; each
+        rank must still get exactly the serial result."""
+        gen = np.random.default_rng(33)
+        returns = gen.standard_t(3.0, size=(300, 6)) * 1e-3
+        shards = shard_pairs(all_pairs(6), 2)
+        wanted = ["maronna", "combined"]
+        serial = [
+            batch_pair_blocks(returns, 40, wanted, pairs=mine) for mine in shards
+        ]
+        barrier = threading.Barrier(2)
+        got = [[], []]
+
+        def rank(r):
+            barrier.wait(timeout=30)
+            for _ in range(4):
+                got[r].append(
+                    batch_pair_blocks(returns, 40, wanted, pairs=shards[r])
+                )
+
+        threads = [threading.Thread(target=rank, args=(r,)) for r in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        for r in (0, 1):
+            assert len(got[r]) == 4
+            for blocks in got[r]:
+                for ctype, block in serial[r].items():
+                    np.testing.assert_array_equal(blocks[ctype], block)
